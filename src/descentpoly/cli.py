@@ -17,7 +17,7 @@ import sys
 import time
 
 from . import closed_forms, configurations, hypergeom, rook, stats, verify, words
-from .perms import format_permutation, parse_permutation
+from .perms import check_size, format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .sets import ALL, parse_set
 from .stats import CapExceededError, DescentQuery
@@ -83,20 +83,14 @@ def _poly_by_method(args, query: DescentQuery, limit: int) -> tuple[IntPolynomia
     if method == "recursion":
         bivar = stats.recursion_bivar(args.n, query.tops, query.bottoms)
         return bivar.specialize_second(1), method
-    if method == "formula1":
-        return _formula_poly(closed_forms.formula_alpha_beta, args.n, query), method
-    if method == "formula2":
-        return _formula_poly(closed_forms.formula_beta_beta, args.n, query), method
+    if method in ("formula1", "formula2"):
+        form = closed_forms.permutation_form(
+            args.n, query.tops, query.bottoms, second=method == "formula2"
+        )
+        return form.polynomial(), method
     if method == "rook":
         return rook.hits_via_foata(args.n, query), method
     raise UsageError(f"unknown method {method!r}")
-
-
-def _formula_poly(formula, n: int, query: DescentQuery) -> IntPolynomial:
-    coeffs = {}
-    for s in range(n + 1):
-        coeffs[s] = formula(n, s, query.tops, query.bottoms)
-    return IntPolynomial(coeffs)
 
 
 def cmd_poly(args) -> int:
@@ -120,12 +114,8 @@ def cmd_word_poly(args) -> int:
     if args.method == "brute":
         poly = words.word_brute_poly(rho, tops, bottoms)
     else:
-        formula = (
-            words.word_formula_1 if args.method == "formula1" else words.word_formula_2
-        )
-        poly = IntPolynomial(
-            {s: formula(rho, s, tops, bottoms) for s in range(sum(rho) + 1)}
-        )
+        second = args.method == "formula2"
+        poly = words.word_form(rho, tops, bottoms, second).polynomial()
     inputs = {"rho": list(rho), "x": str(tops), "y": str(bottoms)}
     record = _record(
         "word-poly", inputs, {"coefficients": _poly_payload(poly)}, args.method, t0
@@ -308,6 +298,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _size(text: str) -> int:
+    """argparse type for --n: a non-negative integer."""
+    try:
+        return check_size(int(text))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="descentpoly",
@@ -326,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--z", default=None, help="difference set")
 
     p = sub.add_parser("poly", help="descent polynomial of S_n")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     add_sets(p, with_z=True)
     p.add_argument(
         "--method",
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("xyz", help="alias for poly with a difference set")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     add_sets(p, with_z=True)
     p.add_argument("--method", choices=("brute", "rook"), default="rook")
     p.set_defaults(func=cmd_poly)
@@ -350,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_word_poly)
 
     p = sub.add_parser("board", help="descent board, heights, structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     add_sets(p, with_z=True)
     p.set_defaults(func=cmd_board)
 
@@ -360,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_foata)
 
     p = sub.add_parser("configs", help="signed configurations and involution")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     add_sets(p)
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_configs)
 
     p = sub.add_parser("q-poly", help="q-refined descent polynomial")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_size, required=True)
     p.add_argument("--x", required=True)
     p.set_defaults(func=cmd_qpoly)
 
@@ -401,7 +399,7 @@ def main(argv=None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (CapExceededError, configurations.CapError) as err:
+    except CapExceededError as err:
         print(f"cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
     except ValueError as err:

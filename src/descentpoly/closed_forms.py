@@ -2,19 +2,25 @@
 
 Two independent formulas compute the same coefficient: one indexed by how
 many non-top elements sit above each top (the alpha/beta form), one purely
-by below-counts (the beta/beta form).  Product factors in the second may
-be zero or negative for individual terms; all arithmetic is exact so the
-cancellations are exact too.
+by below-counts (the beta/beta form).  Both are coefficients of one
+generating function, read from the bottom and from the top degree.
+Product factors in the second may be zero or negative for individual
+terms; all arithmetic is exact so the cancellations are exact too.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import factorial, prod
+from operator import mul
 
-from .polynomials import binom
-from .sets import ALL, IntegerSet, alpha, beta, explicit_set
+from .perms import check_size
+from .polynomials import IntPolynomial, binom, multinomial
+from .sets import ALL, IntegerSet
 
 __all__ = [
+    "ClosedForm",
+    "permutation_form",
     "formula_alpha_beta",
     "formula_alpha_beta_terms",
     "formula_beta_beta",
@@ -28,55 +34,121 @@ __all__ = [
 ]
 
 
+def _signed_binom(n: int, k: int) -> int:
+    """The x^k coefficient of (1 − x)^(n+1)."""
+    return (-1) ** k * binom(n + 1, k)
+
+
+def _alternating_sum(prefactor: int, n: int, weights: list[int]) -> list[int]:
+    """prefactor · [x^0..x^D] (1 − x)^(n+1) · Σ_r w_r x^r, D = len(weights) − 1:
+    coefficient k is Σ_{r≤k} (−1)^(k−r) C(n+1, k−r) w_r."""
+    row = [_signed_binom(n, k) for k in range(len(weights))]
+    return [prefactor * sum(map(mul, weights, row[k::-1])) for k in range(len(row))]
+
+
+@dataclass(frozen=True)
+class ClosedForm:
+    """P · (1 − x)^(N+1) · Σ_r w_r x^r with w_r = C(c + r, r) · Π_x f_x(r).
+
+    c is the mass of the N letters outside the tops set and P the
+    multinomial of their multiplicities (c! for permutations).  Each
+    potential top x comes as (ρ_x, o_x): f_x(r) = r + o_x when ``linear``
+    (permutations, ρ_x = 1), else C(r + o_x, ρ_x).  The alpha/beta form
+    reads x^s; the beta/beta form (``second``) reads x^(L−s), L = Σ ρ_x.
+    """
+
+    c: int
+    prefactor: int
+    offsets: tuple[tuple[int, int], ...]
+    second: bool = False
+    linear: bool = True
+
+    @classmethod
+    def from_sets(cls, masses, tops, bottoms, second, linear) -> "ClosedForm":
+        """Letters 1..m of multiplicities ``masses``, in one pass of prefix
+        counts: β_X(x), β_Y(x) are the non-top and non-bottom mass below x,
+        and α_X(x) = c − β_X(x) is the non-top mass above a top x."""
+        non_tops, rows = [], []
+        below_x = below_y = 0
+        for x, mass in enumerate(masses, 1):
+            if x in tops:
+                rows.append((mass, below_x, below_y))
+            else:
+                non_tops.append(mass)
+                below_x += mass
+            if x not in bottoms:
+                below_y += mass
+        # f_x(r) = r + β_X(x) − β_Y(x) if second, else ρ_x + r + α_X(x) + β_Y(x)
+        c = below_x
+        offsets = [(p, bx - by if second else p + c - bx + by) for p, bx, by in rows]
+        return cls(c, multinomial(non_tops), tuple(offsets), second, linear)
+
+    @property
+    def top_mass(self) -> int:
+        return sum(p for p, _ in self.offsets)
+
+    @property
+    def n(self) -> int:
+        return self.c + self.top_mass
+
+    def weight(self, r: int) -> int:
+        if self.linear:
+            factors = prod(r + o for _, o in self.offsets)
+        else:
+            factors = prod(binom(r + o, p) for p, o in self.offsets)
+        return binom(self.c + r, r) * factors
+
+    def _degree(self, s: int) -> int:
+        return self.top_mass - s if self.second else s
+
+    def terms(self, s: int) -> list[int]:
+        """The signed terms whose sum, times the prefactor, is coefficient s."""
+        k = self._degree(s)
+        return [_signed_binom(self.n, k - r) * self.weight(r) for r in range(k + 1)]
+
+    def coefficient(self, s: int) -> int:
+        k = self._degree(s)
+        if min(s, k) < 0:
+            return 0
+        weights = [self.weight(r) for r in range(k + 1)]
+        return _alternating_sum(self.prefactor, self.n, weights)[k]
+
+    def polynomial(self) -> IntPolynomial:
+        """Coefficients s = 0..N (formula 1) or 0..L (formula 2) at once."""
+        top = self.top_mass if self.second else self.n
+        weights = [self.weight(r) for r in range(top + 1)]
+        coeffs = _alternating_sum(self.prefactor, self.n, weights)
+        return IntPolynomial.from_coeffs(coeffs[::-1] if self.second else coeffs)
+
+
+def permutation_form(
+    n: int, tops: IntegerSet, bottoms: IntegerSet, second: bool = False
+) -> ClosedForm:
+    """The alpha/beta form for S_n, or the beta/beta form if ``second``."""
+    return ClosedForm.from_sets([1] * check_size(n), tops, bottoms, second, linear=True)
+
+
 def formula_alpha_beta_terms(
     n: int, s: int, tops: IntegerSet, bottoms: IntegerSet
 ) -> tuple[int, list[int]]:
     """Returns (prefactor, signed inner terms); their product-sum is the count."""
-    xs = tops.restrict(n)
-    cx = len(tops.complement_in(n))
-    gaps = [alpha(tops, n, x) + beta(bottoms, n, x) for x in xs]
-    terms = []
-    for r in range(max(s, 0) + 1):
-        sign = (-1) ** (s - r)
-        terms.append(
-            sign
-            * binom(cx + r, r)
-            * binom(n + 1, s - r)
-            * prod(1 + r + g for g in gaps)
-        )
-    return factorial(cx), terms
+    form = permutation_form(n, tops, bottoms)
+    return form.prefactor, form.terms(s)
 
 
 def formula_alpha_beta(n: int, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
-    if s < 0:
-        return 0
-    pre, terms = formula_alpha_beta_terms(n, s, tops, bottoms)
-    return pre * sum(terms)
+    return permutation_form(n, tops, bottoms).coefficient(s)
 
 
 def formula_beta_beta_terms(
     n: int, s: int, tops: IntegerSet, bottoms: IntegerSet
 ) -> tuple[int, list[int]]:
-    xs = tops.restrict(n)
-    cx = len(tops.complement_in(n))
-    gaps = [beta(tops, n, x) - beta(bottoms, n, x) for x in xs]
-    terms = []
-    for r in range(len(xs) - s + 1):
-        sign = (-1) ** (len(xs) - s - r)
-        terms.append(
-            sign
-            * binom(cx + r, r)
-            * binom(n + 1, len(xs) - s - r)
-            * prod(r + g for g in gaps)
-        )
-    return factorial(cx), terms
+    form = permutation_form(n, tops, bottoms, second=True)
+    return form.prefactor, form.terms(s)
 
 
 def formula_beta_beta(n: int, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
-    if s < 0:
-        return 0
-    pre, terms = formula_beta_beta_terms(n, s, tops, bottoms)
-    return pre * sum(terms)
+    return permutation_form(n, tops, bottoms, second=True).coefficient(s)
 
 
 def formula_X_only_1(n: int, s: int, tops: IntegerSet) -> int:
@@ -89,10 +161,8 @@ def formula_X_only_2(n: int, s: int, tops: IntegerSet) -> int:
 
 
 def eulerian_sum(n: int, s: int) -> int:
-    """Classical alternating sum for the Eulerian numbers."""
-    return sum(
-        (-1) ** (s - r) * binom(n + 1, s - r) * (1 + r) ** n for r in range(s + 1)
-    )
+    """Classical alternating sum for the Eulerian numbers: weights (1 + r)^n."""
+    return ClosedForm(0, 1, ((1, 1),) * check_size(n)).coefficient(s)
 
 
 def rectangle_product(m: int, u: int, v: int, s: int) -> int:
@@ -105,32 +175,22 @@ def rectangle_product(m: int, u: int, v: int, s: int) -> int:
     )
 
 
-def _k_set(k: int, m: int, j: int) -> IntegerSet:
-    # the reversal-image of the multiples of k inside [km+j]
-    return explicit_set(1 + j + k * i for i in range(m))
+def _kn_formulas(k: int, m: int, j: int, s: int, offsets1, offsets2):
+    """Both sums for m tops in S_(km+j), from the offsets o_x of each form."""
+    if not 0 <= j <= k - 1:
+        raise ValueError("need 0 <= j <= k-1")
+    c = (k - 1) * m + j
+    return tuple(
+        ClosedForm(c, factorial(c), tuple((1, o) for o in offsets), second)
+        .coefficient(s)
+        for offsets, second in ((offsets1, False), (offsets2, True))
+    )
 
 
 def kn_top_formulas(k: int, m: int, j: int, s: int) -> tuple[int, int]:
     """Both alternating sums for tops = multiples of k, n = km+j."""
-    if not 0 <= j <= k - 1:
-        raise ValueError("need 0 <= j <= k-1")
-    n = k * m + j
-    c = (k - 1) * m + j
-    f1 = factorial(c) * sum(
-        (-1) ** (s - r)
-        * binom(c + r, r)
-        * binom(n + 1, s - r)
-        * prod(1 + r + j + (k - 1) * i for i in range(m))
-        for r in range(s + 1)
-    )
-    f2 = factorial(c) * sum(
-        (-1) ** (m - s - r)
-        * binom(c + r, r)
-        * binom(n + 1, m - s - r)
-        * prod(r + (k - 1) * i for i in range(1, m + 1))
-        for r in range(m - s + 1)
-    )
-    return f1, f2
+    gaps = [(k - 1) * i for i in range(m + 1)]
+    return _kn_formulas(k, m, j, s, [1 + j + g for g in gaps[:-1]], gaps[1:])
 
 
 def kn_bottom_formulas(k: int, m: int, j: int, s: int) -> tuple[int, int]:
@@ -139,22 +199,6 @@ def kn_bottom_formulas(k: int, m: int, j: int, s: int) -> tuple[int, int]:
     Reduces to a tops-only count over the reversed-complement set
     {1+j, 1+j+k, ..., 1+j+k(m-1)}.
     """
-    if not 0 <= j <= k - 1:
-        raise ValueError("need 0 <= j <= k-1")
-    n = k * m + j
-    c = (k - 1) * m + j
-    f1 = factorial(c) * sum(
-        (-1) ** (s - r)
-        * binom(c + r, r)
-        * binom(n + 1, s - r)
-        * prod(1 + r + (k - 1) * i for i in range(1, m + 1))
-        for r in range(s + 1)
-    )
-    f2 = factorial(c) * sum(
-        (-1) ** (m - s - r)
-        * binom(c + r, r)
-        * binom(n + 1, m - s - r)
-        * prod(r + j + (k - 1) * i for i in range(m))
-        for r in range(m - s + 1)
-    )
-    return f1, f2
+    gaps = [(k - 1) * i for i in range(m + 1)]
+    above, below = [1 + g for g in gaps[1:]], [j + g for g in gaps[:-1]]
+    return _kn_formulas(k, m, j, s, above, below)

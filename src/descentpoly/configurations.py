@@ -22,17 +22,13 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, prod
 
+from .closed_forms import permutation_form
 from .perms import all_permutations
-from .polynomials import binom, multinomial
-from .sets import IntegerSet, alpha, beta
-from .words import (
-    enumerate_rearrangements,
-    word_alpha,
-    word_beta,
-    x_complement_mass,
-)
+from .polynomials import binom
+from .sets import IntegerSet
+from .stats import CapExceededError
+from .words import enumerate_rearrangements, word_form
 
 __all__ = [
     "Flavor",
@@ -57,6 +53,9 @@ class Flavor(enum.Enum):
 
 class MalformedConfigurationError(ValueError):
     pass
+
+
+CapError = CapExceededError  # the package's one cap error, by this module's name
 
 
 @dataclass(frozen=True)
@@ -243,14 +242,14 @@ def enumerate_configs(
         raise ValueError("pass exactly one of n and rho")
     if n is not None:
         if n > limit:
-            raise CapError(f"configuration enumeration capped at n <= {limit}")
+            raise CapExceededError(f"configuration enumeration capped at n <= {limit}")
         seqs = all_permutations(n)
         length = n
         top_letters = len(tops.restrict(n))
     else:
         length = sum(rho)
         if length > limit:
-            raise CapError(f"configuration enumeration capped at n <= {limit}")
+            raise CapExceededError(f"configuration enumeration capped at n <= {limit}")
         seqs = enumerate_rearrangements(rho)
         top_letters = sum(
             rho[x - 1] for x in range(1, len(rho) + 1) if x in tops
@@ -268,10 +267,6 @@ def enumerate_configs(
                 )
             )
     return out
-
-
-class CapError(Exception):
-    pass
 
 
 def fixed_point_from_seq(seq, flavor: Flavor, tops, bottoms) -> Configuration:
@@ -297,52 +292,19 @@ def staged_count(
 ) -> int:
     """Closed product count of configurations, from the staged construction
     (order the non-top letters, insert '+'s, insert top letters, insert
-    '-'s).  Cross-checked against direct enumeration in the tests."""
+    '-'s): the r-th weight of the matching closed form times the ways to
+    place the '-'s.  Cross-checked against direct enumeration in the tests."""
     if (n is None) == (rho is None):
         raise ValueError("pass exactly one of n and rho")
+    second = flavor is Flavor.OVERLINE
     if n is not None:
-        xs = tops.restrict(n)
-        cx = len(tops.complement_in(n))
-        n_minus = _minus_count(flavor, len(xs), s, r)
-        if n_minus < 0 or r < 0:
-            return 0
-        if flavor is Flavor.STANDARD:
-            prod_part = prod(
-                1 + r + alpha(tops, n, x) + beta(bottoms, n, x) for x in xs
-            )
-        else:
-            prod_part = prod(
-                r + beta(tops, n, x) - beta(bottoms, n, x) for x in xs
-            )
-        return (
-            factorial(cx) * binom(cx + r, r) * binom(n + 1, n_minus) * prod_part
-        )
-    m = len(rho)
-    total = sum(rho)
-    xs = tops.restrict(m)
-    a = x_complement_mass(rho, tops)
-    top_letters = total - a
-    n_minus = _minus_count(flavor, top_letters, s, r)
+        form = permutation_form(n, tops, bottoms, second)
+    else:
+        form = word_form(rho, tops, bottoms, second)
+    n_minus = _minus_count(flavor, form.top_mass, s, r)
     if n_minus < 0 or r < 0:
         return 0
-    mult = multinomial(rho[v - 1] for v in range(1, m + 1) if v not in tops)
-    if flavor is Flavor.STANDARD:
-        prod_part = prod(
-            binom(
-                rho[x - 1] + r + word_alpha(tops, rho, x) + word_beta(bottoms, rho, x),
-                rho[x - 1],
-            )
-            for x in xs
-        )
-    else:
-        prod_part = prod(
-            binom(
-                r + word_beta(tops, rho, x) - word_beta(bottoms, rho, x),
-                rho[x - 1],
-            )
-            for x in xs
-        )
-    return mult * binom(a + r, r) * binom(total + 1, n_minus) * prod_part
+    return form.prefactor * form.weight(r) * binom(form.n + 1, n_minus)
 
 
 def config_to_str(config: Configuration) -> str:

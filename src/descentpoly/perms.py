@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 __all__ = [
+    "check_size",
     "check_permutation",
     "identity",
     "inverse",
@@ -16,6 +17,13 @@ __all__ = [
     "parse_permutation",
     "format_permutation",
 ]
+
+
+def check_size(n: int) -> int:
+    """n itself when it can be the size of S_n; ValueError when n < 0."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    return n
 
 
 def check_permutation(values) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .perms import all_permutations, check_permutation, from_cycles
+from .perms import all_permutations, check_permutation, check_size, from_cycles
 from .polynomials import IntPolynomial, binom
 from .sets import ALL, IntegerSet
 from .stats import CapExceededError, DescentQuery, des_set
@@ -79,6 +79,7 @@ class Board:
 
 
 def board_from_query(n: int, query: DescentQuery) -> Board:
+    check_size(n)
     cells = frozenset(
         (i, j)
         for i in range(2, n + 1)

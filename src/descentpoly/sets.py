@@ -150,21 +150,36 @@ EVENS = residue_set(2, (0,))
 ODDS = residue_set(2, (1,))
 
 
+_FORMS = {"{": "{n1,n2,...}", "mod:": "mod:k:r1,r2", "geq:": "geq:k"}
+
+
 def _parse_atom(text: str) -> IntegerSet:
     text = text.strip()
     if text == "all":
         return ALL
-    if text.startswith("{") and text.endswith("}"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return EMPTY
-        return explicit_set(int(tok) for tok in inner.split(","))
-    if text.startswith("mod:"):
-        _, k, rs = text.split(":")
-        return residue_set(int(k), (int(tok) for tok in rs.split(",")))
-    if text.startswith("geq:"):
-        return at_least(int(text.split(":")[1]))
-    raise ValueError(f"cannot parse set syntax: {text!r}")
+    prefix = next((p for p in _FORMS if text.startswith(p)), None)
+    if prefix is None or (prefix == "{" and not text.endswith("}")):
+        expected = ", ".join(("all", *_FORMS.values()))
+        raise ValueError(f"cannot parse set syntax: {text!r} (expected {expected})")
+    try:
+        if prefix == "{":
+            inner = text[1:-1].strip()
+            members = [int(t) for t in inner.split(",")] if inner else []
+            make, args = explicit_set, (members,)
+        elif prefix == "mod:":
+            _, k, rs = text.split(":")
+            make, args = residue_set, (int(k), [int(t) for t in rs.split(",")])
+        else:
+            _, k = text.split(":")
+            make, args = at_least, (int(k),)
+    except ValueError:
+        raise ValueError(
+            f"cannot parse set syntax: {text!r} (expected {_FORMS[prefix]})"
+        ) from None
+    try:
+        return make(*args)
+    except ValueError as err:
+        raise ValueError(f"invalid set {text!r}: {err}") from None
 
 
 def parse_set(text: str) -> IntegerSet:

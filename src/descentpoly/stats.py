@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .perms import all_permutations, check_permutation
+from .perms import all_permutations, check_permutation, check_size
 from .polynomials import BivarPolynomial, IntPolynomial
 from .sets import ALL, IntegerSet, explicit_set
 
@@ -73,6 +73,7 @@ def descent_value_pairs(seq, query: DescentQuery) -> list[tuple[int, int]]:
 
 
 def _check_cap(n: int, limit: int):
+    check_size(n)
     if n > limit:
         raise CapExceededError(
             f"brute force over S_{n} exceeds the cap n <= {limit}"
@@ -115,7 +116,7 @@ def recursion_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolyn
     not a potential bottom.
     """
     poly = BivarPolynomial.constant(1)
-    for m in range(n):
+    for m in range(check_size(n)):
         new: dict[tuple[int, int], int] = {}
 
         def add(key, v):
@@ -146,7 +147,7 @@ def coefficient_recursion_bivar(
     cross-checked against each other in the tests.
     """
     coeffs = {(0, 0): 1}
-    for m in range(n):
+    for m in range(check_size(n)):
         in_tops = (m + 1) in tops
         in_bottoms = (m + 1) in bottoms
         new: dict[tuple[int, int], int] = {}
@@ -184,7 +185,7 @@ def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
     """
     # coefficient of x^s as a polynomial in q
     by_s: dict[int, IntPolynomial] = {0: IntPolynomial({0: 1})}
-    for m in range(n):
+    for m in range(check_size(n)):
         new: dict[int, IntPolynomial] = {}
 
         def add(s, p):

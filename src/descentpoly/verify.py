@@ -83,10 +83,13 @@ def sweep_formulas(max_n: int) -> int:
         for xvec, xset in subsets:
             hist = _brute_distributions(d, n, xvec, yvecs)
             for yidx, (_, yset) in enumerate(subsets):
+                poly1 = closed_forms.permutation_form(n, xset, yset).polynomial()
+                poly2 = closed_forms.permutation_form(
+                    n, xset, yset, second=True
+                ).polynomial()
                 for s in range(n + 1):
                     brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
-                    f1 = closed_forms.formula_alpha_beta(n, s, xset, yset)
-                    f2 = closed_forms.formula_beta_beta(n, s, xset, yset)
+                    f1, f2 = poly1.coeff(s), poly2.coeff(s)
                     if not (f1 == f2 == brute):
                         raise VerificationError(
                             "closed formulas disagree with brute force",
@@ -213,10 +216,11 @@ def sweep_words(max_n: int) -> int:
             for xvec, xset in subsets:
                 hist = _brute_distributions(d, m, xvec, yvecs)
                 for yidx, (_, yset) in enumerate(subsets):
+                    poly1 = words.word_form(rho, xset, yset).polynomial()
+                    poly2 = words.word_form(rho, xset, yset, second=True).polynomial()
                     for s in range(n + 1):
                         brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
-                        f1 = words.word_formula_1(rho, s, xset, yset)
-                        f2 = words.word_formula_2(rho, s, xset, yset)
+                        f1, f2 = poly1.coeff(s), poly2.coeff(s)
                         if not (f1 == f2 == brute):
                             raise VerificationError(
                                 "word formulas disagree with enumeration",

@@ -4,14 +4,16 @@ A word class is given by a composition rho = (rho_1, ..., rho_m): the
 rearrangements of rho_1 copies of 1, ..., rho_m copies of m.  The
 alternating-sum formulas mirror the permutation ones, with the alpha/beta
 gap counts weighted by letter multiplicities and the per-letter factors
-turning from linear terms into binomial coefficients.
+turning from linear terms into binomial coefficients; both run on the
+kernel of ``closed_forms``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from .polynomials import IntPolynomial, binom, multinomial
+from .closed_forms import ClosedForm
+from .polynomials import IntPolynomial, multinomial
 from .sets import ALL, IntegerSet
 from .stats import CapExceededError, DescentQuery, descent_value_pairs
 
@@ -19,9 +21,7 @@ __all__ = [
     "rearrangement_count",
     "enumerate_rearrangements",
     "word_brute_poly",
-    "word_alpha",
-    "word_beta",
-    "x_complement_mass",
+    "word_form",
     "word_formula_1",
     "word_formula_2",
     "standardize",
@@ -82,49 +82,16 @@ def word_brute_poly(
     return IntPolynomial(counts)
 
 
-def word_alpha(s: IntegerSet, rho, x: int) -> int:
-    """Multiplicity mass of letters above x that are outside s."""
-    rho = _check_rho(rho)
-    return sum(rho[z - 1] for z in range(x + 1, len(rho) + 1) if z not in s)
-
-
-def word_beta(s: IntegerSet, rho, x: int) -> int:
-    """Multiplicity mass of letters below x that are outside s."""
-    rho = _check_rho(rho)
-    return sum(rho[z - 1] for z in range(1, x) if z not in s)
-
-
-def x_complement_mass(rho, tops: IntegerSet) -> int:
-    """Total multiplicity of the letters outside the tops set."""
-    rho = _check_rho(rho)
-    return sum(rho[v - 1] for v in range(1, len(rho) + 1) if v not in tops)
-
-
-def _word_context(rho, tops):
-    rho = _check_rho(rho)
-    m = len(rho)
-    xs = [x for x in range(1, m + 1) if x in tops]
-    a = x_complement_mass(rho, tops)
-    mult = multinomial(rho[v - 1] for v in range(1, m + 1) if v not in tops)
-    return rho, xs, a, mult
+def word_form(
+    rho, tops: IntegerSet, bottoms: IntegerSet, second: bool = False
+) -> ClosedForm:
+    """The word analogue of closed_forms.permutation_form."""
+    return ClosedForm.from_sets(_check_rho(rho), tops, bottoms, second, linear=False)
 
 
 def word_formula_1(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
     """Alternating sum with per-letter factors C(rho_x + r + alpha + beta, rho_x)."""
-    if s < 0:
-        return 0
-    rho, xs, a, mult = _word_context(rho, tops)
-    n = sum(rho)
-    total = 0
-    for r in range(s + 1):
-        term = binom(a + r, r) * binom(n + 1, s - r)
-        for x in xs:
-            term *= binom(
-                rho[x - 1] + r + word_alpha(tops, rho, x) + word_beta(bottoms, rho, x),
-                rho[x - 1],
-            )
-        total += (-1) ** (s - r) * term
-    return mult * total
+    return word_form(rho, tops, bottoms).coefficient(s)
 
 
 def word_formula_2(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
@@ -132,20 +99,7 @@ def word_formula_2(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
 
     Upper factors may go negative; those binomials vanish by convention.
     """
-    if s < 0:
-        return 0
-    rho, xs, a, mult = _word_context(rho, tops)
-    n = sum(rho)
-    total = 0
-    for r in range(n - a - s + 1):
-        term = binom(a + r, r) * binom(n + 1, n - a - s - r)
-        for x in xs:
-            term *= binom(
-                r + word_beta(tops, rho, x) - word_beta(bottoms, rho, x),
-                rho[x - 1],
-            )
-        total += (-1) ** (n - a - s - r) * term
-    return mult * total
+    return word_form(rho, tops, bottoms, second=True).coefficient(s)
 
 
 def _rho_of(word, m: int | None = None) -> tuple[int, ...]:

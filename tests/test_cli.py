@@ -1,6 +1,8 @@
 """Command-line interface: output formats, methods, and exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -164,3 +166,57 @@ class TestExitCodes:
             "--y", "all", "--method", "brute",
         )
         assert code == EXIT_CAP
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "method", ["brute", "recursion", "formula1", "formula2", "rook"]
+    )
+    def test_empty_and_negative_n(self, capsys, method):
+        argv = ["poly", "--x", "all", "--y", "all", "--method", method]
+        record = run_json(capsys, *argv, "--n", "0")
+        assert record["result"]["coefficients"] == {"0": "1"}
+        code, _, err = run(capsys, *argv, "--n", "-3")
+        assert code == EXIT_USAGE
+        assert "--n" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["xyz", "--x", "all", "--y", "all", "--z", "{1}"],
+            ["q-poly", "--x", "all"],
+            ["board", "--x", "all", "--y", "all"],
+            ["configs", "--s", "0", "--r", "0", "--x", "all", "--y", "all"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_n_rejected_by_every_command(self, capsys, argv):
+        code, _, err = run(capsys, *argv, "--n", "-1")
+        assert code == EXIT_USAGE
+        assert "--n" in err
+
+    @pytest.mark.parametrize("token", ["mod:3", "{a}", "geq:", "mod:3:5"])
+    def test_bad_set_token_is_named(self, capsys, token):
+        code, _, err = run(capsys, "poly", "--n", "4", "--x", token, "--y", "all")
+        assert code == EXIT_USAGE
+        assert repr(token) in err
+
+
+def _readme_commands():
+    """The argv of every command in the README's "Command line" block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = []
+    for line in block.splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            program, *argv = shlex.split(line)
+            assert program == "descentpoly"
+            commands.append(argv)
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_commands(capsys, argv):
+    record = run_json(capsys, *argv)
+    assert {"command", "inputs", "result", "method"} <= record.keys()
