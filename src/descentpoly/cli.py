@@ -73,35 +73,38 @@ def _emit_text_value(value, indent=""):
         print(f"{indent}{value}")
 
 
-def _poly_by_method(args, query: DescentQuery, limit: int) -> tuple[IntPolynomial, str]:
+def _poly_by_method(args, query: DescentQuery, limit: int) -> tuple[IntPolynomial, dict]:
+    """The polynomial, and for --method rook the rook path it took."""
     method = args.method
     has_z = not isinstance(query.diffs, type(ALL))
     if method in ("recursion", "formula1", "formula2") and has_z:
         raise UsageError(f"method {method} does not support --z")
     if method == "brute":
-        return stats.brute_poly(args.n, query, limit=limit), method
+        return stats.brute_poly(args.n, query, limit=limit), {}
     if method == "recursion":
         bivar = stats.recursion_bivar(args.n, query.tops, query.bottoms)
-        return bivar.specialize_second(1), method
+        return bivar.specialize_second(1), {}
     if method in ("formula1", "formula2"):
         form = closed_forms.permutation_form(
             args.n, query.tops, query.bottoms, second=method == "formula2"
         )
-        return form.polynomial(), method
+        return form.polynomial(), {}
     if method == "rook":
-        return rook.hits_via_foata(args.n, query), method
+        return rook.hits_with_route(args.n, query)
     raise UsageError(f"unknown method {method!r}")
 
 
 def cmd_poly(args) -> int:
+    """poly and xyz: the record names the subcommand that ran."""
     t0 = time.monotonic()
     tops = parse_set(args.x)
     bottoms = parse_set(args.y)
     diffs = parse_set(args.z) if args.z else ALL
     query = DescentQuery(tops, bottoms, diffs)
-    poly, method = _poly_by_method(args, query, args.max_brute)
+    poly, route = _poly_by_method(args, query, args.max_brute)
     inputs = {"n": args.n, "x": str(tops), "y": str(bottoms), "z": str(diffs)}
-    record = _record("poly", inputs, {"coefficients": _poly_payload(poly)}, method, t0)
+    result = {"coefficients": _poly_payload(poly), **route}
+    record = _record(args.subcommand, inputs, result, args.method, t0)
     _emit(record, args.format)
     return EXIT_OK
 

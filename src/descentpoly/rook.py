@@ -37,9 +37,11 @@ __all__ = [
     "canonical_distinct_rows",
     "rook_equivalent",
     "hits_via_foata",
+    "hits_with_route",
+    "rook_route",
 ]
 
-GENERAL_BOARD_CAP = 12
+STATE_CAP = 100_000  # live (mask, rooks) states of the frontier DP
 ENUMERATION_CAP = 10
 
 
@@ -89,30 +91,57 @@ def board_from_query(n: int, query: DescentQuery) -> Board:
     return Board(n, cells)
 
 
-def rook_numbers(board: Board, limit: int = GENERAL_BOARD_CAP) -> list[int]:
-    """r_0..r_n for an arbitrary board, by column DP over used-row subsets."""
+def rook_numbers(
+    board: Board, limit: int = STATE_CAP, *, route: dict | None = None
+) -> list[int]:
+    """r_0..r_n for an arbitrary board, by a frontier DP over the columns.
+
+    Every cell lies strictly below the diagonal, so once column j is past
+    the last cell of a row, that row can take no further rook and its bit
+    is dropped.  A state is (used live rows, rooks placed); only the rows
+    with cells on both sides of the current column are live, so the state
+    count follows the board's width, not 2^n (the transfer-matrix method,
+    Stanley, EC1 4.7).  More than ``limit`` states after a column raises
+    CapExceededError.  When ``route`` is given, its "peak_states" is set.
+    """
     n = board.n
-    if n > limit:
-        raise CapExceededError(f"general-board rook numbers capped at n <= {limit}")
     col_masks = [0] * (n + 1)
+    last_col = [0] * (n + 1)
     for i, j in board.cells:
-        col_masks[j] |= 1 << (i - 1)
-    # states: used-row bitmask -> count of partial placements
-    states = {0: 1}
+        col_masks[j] |= 1 << i
+        last_col[i] = max(last_col[i], j)
+    finished = [0] * (n + 1)  # rows whose last cell is in column j
+    for i in range(2, n + 1):
+        finished[last_col[i]] |= 1 << i
+    states = {(0, 0): 1}
+    peak = 1
     for j in range(1, n + 1):
-        new = dict(states)  # leave column j empty
         cm = col_masks[j]
-        for mask, c in states.items():
+        if not cm:
+            continue
+        keep = ~finished[j]
+        new: dict[tuple[int, int], int] = {}
+        for (mask, k), c in states.items():
+            key = (mask & keep, k)  # leave column j empty
+            new[key] = new.get(key, 0) + c
             avail = cm & ~mask
             while avail:
                 bit = avail & -avail
-                key = mask | bit
+                key = ((mask | bit) & keep, k + 1)
                 new[key] = new.get(key, 0) + c
                 avail ^= bit
         states = new
+        if len(states) > limit:
+            raise CapExceededError(
+                f"frontier rook DP exceeds the state cap of {limit} live states"
+                f" (n = {n}, column {j})"
+            )
+        peak = max(peak, len(states))
+    if route is not None:
+        route["peak_states"] = peak
     out = [0] * (n + 1)
-    for mask, c in states.items():
-        out[bin(mask).count("1")] += c
+    for (_, k), c in states.items():
+        out[k] += c
     return out
 
 
@@ -165,15 +194,23 @@ def _hits_from_rooks(r: list[int], n: int) -> list[int]:
     ]
 
 
-def hit_numbers(board: Board) -> list[int]:
-    """h_0..h_n via rook numbers and the standard inversion identity."""
-    n = board.n
+def rook_route(board: Board) -> tuple[list[int], dict]:
+    """r_0..r_n and the path that found them.
+
+    The path is {"rook_path": "ferrers"} when the rows nest, and otherwise
+    {"rook_path": "frontier", "peak_states": ...} from rook_numbers.
+    """
     try:
         heights, _ = height_structure(board)
-        r = ferrers_rook_numbers(heights)
     except NotFerrersError:
-        r = rook_numbers(board)
-    return _hits_from_rooks(r, n)
+        route = {"rook_path": "frontier"}
+        return rook_numbers(board, route=route), route
+    return ferrers_rook_numbers(heights), {"rook_path": "ferrers"}
+
+
+def hit_numbers(board: Board) -> list[int]:
+    """h_0..h_n via rook numbers and the standard inversion identity."""
+    return _hits_from_rooks(rook_route(board)[0], board.n)
 
 
 def hit_numbers_enumerate(board: Board, limit: int = ENUMERATION_CAP) -> list[int]:
@@ -304,13 +341,17 @@ def rook_equivalent(board1: Board, board2: Board) -> bool:
     return sorted(s1) == sorted(s2)
 
 
+def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
+    """The query's descent polynomial as a hit polynomial, and the rook path
+    taken (see rook_route)."""
+    board = board_from_query(n, query)
+    r, route = rook_route(board)
+    return IntPolynomial(dict(enumerate(_hits_from_rooks(r, n)))), route
+
+
 def hits_via_foata(n: int, query: DescentQuery) -> IntPolynomial:
     """Descent polynomial as the hit polynomial of the query's board."""
-    board = board_from_query(n, query)
-    try:
-        return hit_polynomial(board)
-    except CapExceededError:
-        return hit_polynomial_permanent(board)
+    return hits_with_route(n, query)[0]
 
 
 def descents_match_excedences(omega, query: DescentQuery) -> bool:

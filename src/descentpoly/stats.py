@@ -9,6 +9,7 @@ reference beyond the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import getitem
 
 from .perms import all_permutations, check_permutation, check_size
 from .polynomials import BivarPolynomial, IntPolynomial
@@ -80,14 +81,24 @@ def _check_cap(n: int, limit: int):
         )
 
 
+def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
+    """How many permutations of S_n have each number of matching descents.
+
+    The query is asked once per pair a > b, into a table; every
+    permutation is then counted from the table.
+    """
+    table = [[b < a and query.matches(a, b) for b in range(n + 1)]
+             for a in range(n + 1)]
+    counts = [0] * max(n, 1)
+    for sigma in all_permutations(n):
+        counts[sum(map(getitem, map(table.__getitem__, sigma), sigma[1:]))] += 1
+    return {s: c for s, c in enumerate(counts) if c}
+
+
 def brute_poly(n: int, query: DescentQuery, limit: int = DEFAULT_BRUTE_CAP) -> IntPolynomial:
     """Sum over all of S_n of x^(number of matching descents)."""
     _check_cap(n, limit)
-    counts: dict[int, int] = {}
-    for sigma in all_permutations(n):
-        s = len(des_set(sigma, query))
-        counts[s] = counts.get(s, 0) + 1
-    return IntPolynomial(counts)
+    return IntPolynomial(_match_counts(n, query))
 
 
 def brute_bivar(
@@ -97,12 +108,8 @@ def brute_bivar(
     1..n are outside the bottoms set."""
     _check_cap(n, limit)
     t = len(bottoms.complement_in(n))
-    query = DescentQuery(tops, bottoms)
-    counts: dict[tuple[int, int], int] = {}
-    for sigma in all_permutations(n):
-        s = len(des_set(sigma, query))
-        counts[(s, t)] = counts.get((s, t), 0) + 1
-    return BivarPolynomial(counts)
+    counts = _match_counts(n, DescentQuery(tops, bottoms))
+    return BivarPolynomial({(s, t): c for s, c in counts.items()})
 
 
 def recursion_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomial:

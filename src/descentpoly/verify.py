@@ -286,6 +286,7 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
                          _random_subset(n, rng))
             for _ in range(queries)
         ]
+        boards = [rook.board_from_query(n, query) for query in tests]
         for omega in permutations(range(1, n + 1)):
             sigma = rook.foata(omega)
             if rook.foata_inverse(sigma) != omega:
@@ -293,8 +294,7 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
                     "cycle rewriting does not round-trip",
                     {"omega": list(omega), "image": list(sigma)},
                 )
-            for query in tests:
-                board = rook.board_from_query(n, query)
+            for query, board in zip(tests, boards):
                 exc = rook.u_excedences(omega, board)
                 des = len(stats.des_set(sigma, query))
                 if exc != des:

@@ -220,3 +220,11 @@ def _readme_commands():
 def test_readme_commands(capsys, argv):
     record = run_json(capsys, *argv)
     assert {"command", "inputs", "result", "method"} <= record.keys()
+
+
+def test_xyz_records_its_own_command(capsys):
+    argv = next(argv for argv in _readme_commands() if argv[0] == "xyz")
+    record = run_json(capsys, *argv)
+    assert record["command"] == "xyz"
+    assert record["method"] == "rook"
+    assert record["result"]["rook_path"] == "frontier"
