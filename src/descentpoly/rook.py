@@ -12,10 +12,12 @@ every descent polynomial in this package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial
+from itertools import accumulate
+from math import comb
+from operator import mul
 
 from .perms import all_permutations, check_permutation, check_size, from_cycles
-from .polynomials import IntPolynomial, binom
+from .polynomials import IntPolynomial
 from .sets import ALL, IntegerSet
 from .stats import CapExceededError, DescentQuery, des_set
 
@@ -147,7 +149,10 @@ def rook_numbers(
 
 def row_lengths(board: Board) -> list[int]:
     """Nonzero row sizes, increasing; raises unless rows nest into a chain."""
-    rows = sorted((r for r in map(board.row, range(1, board.n + 1)) if r), key=len)
+    by_row: dict[int, set] = {}
+    for i, j in board.cells:
+        by_row.setdefault(i, set()).add(j)
+    rows = sorted(by_row.values(), key=len)
     for a, b in zip(rows, rows[1:]):
         if not a <= b:
             raise NotFerrersError("row supports do not form a chain")
@@ -185,13 +190,14 @@ def ferrers_rook_numbers(heights: list[int]) -> list[int]:
 
 
 def _hits_from_rooks(r: list[int], n: int) -> list[int]:
-    return [
-        sum(
-            (-1) ** (k - j) * r[k] * factorial(n - k) * binom(k, j)
-            for k in range(j, n + 1)
-        )
-        for j in range(n + 1)
-    ]
+    """h_j = sum_k (-1)^(k-j) r_k (n-k)! C(k, j), the sign read from parity."""
+    fact = list(accumulate(range(1, n + 1), mul, initial=1))  # 0!, 1!, ..., n!
+    w = [rk * fact[n - k] for k, rk in enumerate(r)]
+
+    def part(j, start):
+        return sum(w[k] * comb(k, j) for k in range(start, n + 1, 2))
+
+    return [part(j, j) - part(j, j + 1) for j in range(n + 1)]
 
 
 def rook_route(board: Board) -> tuple[list[int], dict]:

@@ -9,9 +9,13 @@ reference beyond the cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import getitem
+from functools import lru_cache
+from itertools import accumulate, permutations
+from operator import add, sub
 
-from .perms import all_permutations, check_permutation, check_size
+import numpy as np
+
+from .perms import check_permutation, check_size
 from .polynomials import BivarPolynomial, IntPolynomial
 from .sets import ALL, IntegerSet, explicit_set
 
@@ -53,6 +57,10 @@ class DescentQuery:
             and (top - bottom) in self.diffs
         )
 
+    def match_table(self, m: int) -> list[list[bool]]:
+        """table[a][b] = matches(a, b) for 0 <= a, b <= m."""
+        return [[self.matches(a, b) for b in range(m + 1)] for a in range(m + 1)]
+
 
 def des_set(sigma, query: DescentQuery) -> frozenset[int]:
     """Positions i (1-based) where (sigma_i, sigma_{i+1}) matches the query."""
@@ -81,17 +89,57 @@ def _check_cap(n: int, limit: int):
         )
 
 
+BLOCK_SIZE = 8  # a block holds the 8! orders of the last 8 values; pair indices < 64 fit int8
+
+
+@lru_cache(maxsize=None)
+def _block(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All of S_k over the labels 0..k-1, one int8 row each, built by
+    inserting k-1 into every slot of S_{k-1}; and, one int8 row per
+    position i < k-1, the flat index u*k + v into a k x k table of the
+    pair (u, v) each permutation has at positions i, i+1."""
+    perms = np.zeros((1, 0), dtype=np.int8)
+    for v in range(k):
+        rows = len(perms)
+        new = np.empty((rows * (v + 1), v + 1), dtype=np.int8)
+        for slot in range(v + 1):
+            part = new[slot * rows:(slot + 1) * rows]
+            part[:, :slot] = perms[:, :slot]
+            part[:, slot] = v
+            part[:, slot + 1:] = perms[:, slot:]
+        perms = new
+    pairs = (perms[:, :-1] * k + perms[:, 1:]).T.copy()
+    perms.setflags(write=False)
+    pairs.setflags(write=False)
+    return perms, pairs
+
+
 def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
     """How many permutations of S_n have each number of matching descents.
 
-    The query is asked once per pair a > b, into a table; every
-    permutation is then counted from the table.
+    The query is asked once per pair a > b, into a table.  S_n is walked in
+    blocks: for each ordered prefix of n - k values (k = min(n, 8)), the
+    block holds every order of the k values that remain, and each row is
+    counted from the table (the prefix's own pairs, the pair where prefix
+    and block join, and the block's pairs read through the remaining
+    values).  Every permutation is visited; memory stays at one block.
     """
-    table = [[b < a and query.matches(a, b) for b in range(n + 1)]
-             for a in range(n + 1)]
-    counts = [0] * max(n, 1)
-    for sigma in all_permutations(n):
-        counts[sum(map(getitem, map(table.__getitem__, sigma), sigma[1:]))] += 1
+    table = np.array(query.match_table(n), dtype=bool)
+    k = min(n, BLOCK_SIZE)
+    block, pairs = _block(k)
+    counts = [0] * (n + 1)
+    values = range(1, n + 1)
+    for prefix in permutations(values, n - k):
+        rest = np.array(sorted(set(values).difference(prefix)), dtype=np.intp)
+        sub = table[np.ix_(rest, rest)].ravel()
+        rows = np.zeros(len(block), dtype=np.intp)
+        for at in pairs:
+            rows += sub[at]
+        if prefix:
+            rows += table[prefix[-1], rest][block[:, 0]]
+            rows += sum(table[a, b] for a, b in zip(prefix, prefix[1:]))
+        block_counts = np.bincount(rows, minlength=n + 1).tolist()
+        counts = list(map(add, counts, block_counts))
     return {s: c for s, c in enumerate(counts) if c}
 
 
@@ -179,9 +227,22 @@ def coefficient_recursion_bivar(
     return BivarPolynomial(coeffs)
 
 
-def _q_int(m: int) -> IntPolynomial:
-    """The q-integer 1 + q + ... + q^(m-1)."""
-    return IntPolynomial({e: 1 for e in range(m)})
+def _times_q_int(c: list[int], a: int, k: int) -> list[int]:
+    """Dense q-coefficients of q^a [k]_q c, where [k]_q = 1 + q + ... + q^(k-1).
+
+    With P the prefix sums of c, coefficient j of [k]_q c is
+    P[j+1] - P[j+1-k] (P clamped at both ends), so the product costs O(deg).
+    """
+    p = list(accumulate(c, initial=0))
+    upper = p[1:] + [p[-1]] * (k - 1)
+    lower = [0] * (k - 1) + p[:-1]
+    return [0] * a + list(map(sub, upper, lower))
+
+
+def _add_dense(u: list[int], v: list[int]) -> list[int]:
+    if len(u) < len(v):
+        u, v = v, u
+    return list(map(add, u, v)) + u[len(v):]
 
 
 def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
@@ -190,27 +251,27 @@ def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
     Specializing q = 1 collapses every q-integer to its length and recovers
     the single-variable descent polynomial for the given tops set.
     """
-    # coefficient of x^s as a polynomial in q
-    by_s: dict[int, IntPolynomial] = {0: IntPolynomial({0: 1})}
+    # coefficient of x^s as a dense list of q-coefficients
+    by_s: dict[int, list[int]] = {0: [1]}
     for m in range(check_size(n)):
-        new: dict[int, IntPolynomial] = {}
+        new: dict[int, list[int]] = {}
 
-        def add(s, p):
-            if p:
-                new[s] = new.get(s, IntPolynomial()) + p
+        def add_term(s, c, a, k):
+            if k > 0:
+                p = _times_q_int(c, a, k)
+                new[s] = _add_dense(new[s], p) if s in new else p
 
         in_tops = (m + 1) in tops
         for s, c in by_s.items():
             if in_tops:
-                add(s, c * _q_int(s + 1))
-                add(s + 1, c * IntPolynomial.monomial(s + 1) * _q_int(m - s))
+                add_term(s, c, 0, s + 1)
+                add_term(s + 1, c, s + 1, m - s)
             else:
-                if s > 0:
-                    add(s - 1, c * _q_int(s))
-                add(s, c * IntPolynomial.monomial(s) * _q_int(m + 1 - s))
+                add_term(s - 1, c, 0, s)
+                add_term(s, c, s, m + 1 - s)
         by_s = new
     return BivarPolynomial(
-        {(eq, s): v for s, p in by_s.items() for eq, v in p.items()}
+        {(eq, s): v for s, p in by_s.items() for eq, v in enumerate(p) if v}
     )
 
 

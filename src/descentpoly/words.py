@@ -11,11 +11,12 @@ kernel of ``closed_forms``.
 from __future__ import annotations
 
 from itertools import permutations
+from operator import getitem
 
 from .closed_forms import ClosedForm
 from .polynomials import IntPolynomial, multinomial
 from .sets import ALL, IntegerSet
-from .stats import CapExceededError, DescentQuery, descent_value_pairs
+from .stats import CapExceededError, DescentQuery
 
 __all__ = [
     "rearrangement_count",
@@ -73,11 +74,15 @@ def word_brute_poly(
     diffs: IntegerSet = ALL,
     limit: int = DEFAULT_WORD_CAP,
 ) -> IntPolynomial:
-    """Sum over R(rho) of x^(number of matching descents)."""
-    query = DescentQuery(tops, bottoms, diffs)
+    """Sum over R(rho) of x^(number of matching descents).
+
+    The query is asked once per letter pair a > b, into a table; every word
+    is then counted from the table.
+    """
+    table = DescentQuery(tops, bottoms, diffs).match_table(len(_check_rho(rho)))
     counts: dict[int, int] = {}
     for w in enumerate_rearrangements(rho, limit):
-        s = len(descent_value_pairs(w, query))
+        s = sum(map(getitem, map(table.__getitem__, w), w[1:]))
         counts[s] = counts.get(s, 0) + 1
     return IntPolynomial(counts)
 

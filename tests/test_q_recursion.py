@@ -1,0 +1,74 @@
+"""The prefix-sum q-recursion against a dict-of-polynomials recursion."""
+
+import random
+
+import pytest
+
+from descentpoly.perms import check_size
+from descentpoly.polynomials import BivarPolynomial, IntPolynomial
+from descentpoly.sets import explicit_set, parse_set
+from descentpoly.stats import q_recursion
+
+NAMED_TOPS = ["all", "{}", "mod:2:0", "mod:3:1", "mod:4:0,2"]
+
+
+def _q_int(m):
+    return IntPolynomial({e: 1 for e in range(m)})
+
+
+def _oracle(n, tops):
+    """The insertion recursion with one IntPolynomial in q per power of x,
+    multiplying by q-integers term by term."""
+    by_s = {0: IntPolynomial({0: 1})}
+    for m in range(check_size(n)):
+        new = {}
+
+        def add(s, p):
+            if p:
+                new[s] = new.get(s, IntPolynomial()) + p
+
+        in_tops = (m + 1) in tops
+        for s, c in by_s.items():
+            if in_tops:
+                add(s, c * _q_int(s + 1))
+                add(s + 1, c * IntPolynomial.monomial(s + 1) * _q_int(m - s))
+            else:
+                if s > 0:
+                    add(s - 1, c * _q_int(s))
+                add(s, c * IntPolynomial.monomial(s) * _q_int(m + 1 - s))
+        by_s = new
+    return BivarPolynomial(
+        {(eq, s): v for s, p in by_s.items() for eq, v in p.items()}
+    )
+
+
+def _tops_sets():
+    rng = random.Random(7)
+    seeded = [
+        explicit_set(i for i in range(1, 13) if rng.random() < 0.5) for _ in range(3)
+    ]
+    return [parse_set(t) for t in NAMED_TOPS] + seeded
+
+
+def _q_factorial(n):
+    out = IntPolynomial({0: 1})
+    for k in range(1, n + 1):
+        out = out * _q_int(k)
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_whole_polynomial_matches_dict_recursion(n):
+    for tops in _tops_sets():
+        assert q_recursion(n, tops) == _oracle(n, tops)
+
+
+@pytest.mark.parametrize("n", range(0, 10))
+def test_x_equal_one_gives_q_factorial(n):
+    for tops in _tops_sets():
+        assert q_recursion(n, tops).specialize_second(1) == _q_factorial(n)
+
+
+def test_empty_permutation_gives_one():
+    for tops in _tops_sets():
+        assert q_recursion(0, tops) == BivarPolynomial.constant(1)
