@@ -5,8 +5,9 @@ text; both formats carry the same payload.  Polynomial coefficients are
 serialized as decimal strings so arbitrary-precision values survive any
 JSON parser.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 cap
-exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
+input, 3 cap exceeded.  Any other exception is an internal error and is
+not caught.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import json
 import sys
 import time
 
-from . import closed_forms, configurations, hypergeom, rook, stats, verify, words
-from .perms import check_size, format_permutation, parse_permutation
+from . import closed_forms, configurations, rook, stats, verify, words
+from .perms import InputError, check_size, parse_int
+from .perms import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .sets import ALL, parse_set
 from .stats import CapExceededError, DescentQuery
@@ -34,16 +36,6 @@ class UsageError(Exception):
 
 def _poly_payload(poly: IntPolynomial) -> dict:
     return {str(e): str(c) for e, c in sorted(poly.items())}
-
-
-def _record(command: str, inputs: dict, result: dict, method: str, t0: float) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "method": method,
-        "elapsed_ms": round((time.monotonic() - t0) * 1000, 3),
-    }
 
 
 def _emit(record: dict, fmt: str):
@@ -73,14 +65,23 @@ def _emit_text_value(value, indent=""):
         print(f"{indent}{value}")
 
 
-def _poly_by_method(args, query: DescentQuery, limit: int) -> tuple[IntPolynomial, dict]:
+def _query(args, inputs: dict) -> DescentQuery:
+    """The query of --x/--y/--z for poly, xyz and board, with its inputs."""
+    tops = parse_set(args.x)
+    bottoms = parse_set(args.y)
+    diffs = parse_set(args.z) if args.z else ALL
+    inputs.update(n=args.n, x=str(tops), y=str(bottoms), z=str(diffs))
+    return DescentQuery(tops, bottoms, diffs)
+
+
+def _poly_by_method(args, query: DescentQuery) -> tuple[IntPolynomial, dict]:
     """The polynomial, and for --method rook the rook path it took."""
     method = args.method
     has_z = not isinstance(query.diffs, type(ALL))
     if method in ("recursion", "formula1", "formula2") and has_z:
         raise UsageError(f"method {method} does not support --z")
     if method == "brute":
-        return stats.brute_poly(args.n, query, limit=limit), {}
+        return stats.brute_poly(args.n, query, limit=args.max_brute), {}
     if method == "recursion":
         bivar = stats.recursion_bivar(args.n, query.tops, query.bottoms)
         return bivar.specialize_second(1), {}
@@ -89,96 +90,63 @@ def _poly_by_method(args, query: DescentQuery, limit: int) -> tuple[IntPolynomia
             args.n, query.tops, query.bottoms, second=method == "formula2"
         )
         return form.polynomial(), {}
-    if method == "rook":
-        return rook.hits_with_route(args.n, query)
-    raise UsageError(f"unknown method {method!r}")
+    return rook.hits_with_route(args.n, query)
 
 
-def cmd_poly(args) -> int:
+# Each cmd_* writes its inputs into `inputs` before it computes, so that a
+# failure record carries them, and returns its result; `main` builds the
+# record.
+
+
+def cmd_poly(args, inputs: dict) -> dict:
     """poly and xyz: the record names the subcommand that ran."""
-    t0 = time.monotonic()
-    tops = parse_set(args.x)
-    bottoms = parse_set(args.y)
-    diffs = parse_set(args.z) if args.z else ALL
-    query = DescentQuery(tops, bottoms, diffs)
-    poly, route = _poly_by_method(args, query, args.max_brute)
-    inputs = {"n": args.n, "x": str(tops), "y": str(bottoms), "z": str(diffs)}
-    result = {"coefficients": _poly_payload(poly), **route}
-    record = _record(args.subcommand, inputs, result, args.method, t0)
-    _emit(record, args.format)
-    return EXIT_OK
+    poly, route = _poly_by_method(args, _query(args, inputs))
+    return {"coefficients": _poly_payload(poly), **route}
 
 
-def cmd_word_poly(args) -> int:
-    t0 = time.monotonic()
-    rho = tuple(int(tok) for tok in args.rho.split(","))
+def cmd_word_poly(args, inputs: dict) -> dict:
+    rho = tuple(parse_int(t, f"composition {args.rho!r}") for t in args.rho.split(","))
     tops = parse_set(args.x)
     bottoms = parse_set(args.y)
+    inputs.update(rho=list(rho), x=str(tops), y=str(bottoms))
     if args.method == "brute":
         poly = words.word_brute_poly(rho, tops, bottoms)
     else:
         second = args.method == "formula2"
         poly = words.word_form(rho, tops, bottoms, second).polynomial()
-    inputs = {"rho": list(rho), "x": str(tops), "y": str(bottoms)}
-    record = _record(
-        "word-poly", inputs, {"coefficients": _poly_payload(poly)}, args.method, t0
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    return {"coefficients": _poly_payload(poly)}
 
 
-def cmd_board(args) -> int:
-    t0 = time.monotonic()
-    tops = parse_set(args.x)
-    bottoms = parse_set(args.y)
-    diffs = parse_set(args.z) if args.z else ALL
-    board = rook.board_from_query(args.n, DescentQuery(tops, bottoms, diffs))
-    result: dict = {
+def cmd_board(args, inputs: dict) -> dict:
+    board = rook.board_from_query(args.n, _query(args, inputs))
+    try:
+        heights, structure = rook.height_structure(board)
+        canonical_x = str(rook.canonical_distinct_rows(board)[1])
+    except rook.NotFerrersError:
+        heights = structure = canonical_x = None
+    return {
         "n": board.n,
         "cells": sorted([i, j] for i, j in board.cells),
         "grid": board.ascii_grid().split("\n"),
+        "heights": heights,
+        "structure": structure,
+        "canonical_x": canonical_x,
     }
-    try:
-        heights, structure = rook.height_structure(board)
-        _, canon_tops = rook.canonical_distinct_rows(board)
-        result["heights"] = heights
-        result["structure"] = structure
-        result["canonical_x"] = str(canon_tops)
-    except rook.NotFerrersError:
-        result["heights"] = None
-        result["structure"] = None
-        result["canonical_x"] = None
-    record = _record(
-        "board",
-        {"n": args.n, "x": str(tops), "y": str(bottoms), "z": str(diffs)},
-        result,
-        "direct",
-        t0,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
 
 
-def cmd_foata(args) -> int:
-    t0 = time.monotonic()
+def cmd_foata(args, inputs: dict) -> dict:
     perm = parse_permutation(args.perm)
+    inputs.update(perm=format_permutation(perm), inverse=bool(args.inverse))
     image = rook.foata_inverse(perm) if args.inverse else rook.foata(perm)
-    record = _record(
-        "foata",
-        {"perm": format_permutation(perm), "inverse": bool(args.inverse)},
-        {"image": format_permutation(image)},
-        "cycle-rewriting",
-        t0,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    return {"image": format_permutation(image)}
 
 
-def cmd_configs(args) -> int:
-    t0 = time.monotonic()
+def cmd_configs(args, inputs: dict) -> dict:
     tops = parse_set(args.x)
     bottoms = parse_set(args.y)
     flavor = configurations.Flavor(args.flavor)
+    inputs.update(n=args.n, s=args.s, r=args.r, x=str(tops), y=str(bottoms),
+                  flavor=flavor.value)
     configs = configurations.enumerate_configs(
         flavor, args.s, args.r, tops, bottoms, n=args.n
     )
@@ -191,121 +159,36 @@ def cmd_configs(args) -> int:
     if args.trace:
         c = configurations.config_from_str(args.trace, flavor, tops, bottoms)
         result["trace"] = {"input": str(c), "image": str(configurations.involution(c))}
-    record = _record(
-        "configs",
-        {
-            "n": args.n,
-            "s": args.s,
-            "r": args.r,
-            "x": str(tops),
-            "y": str(bottoms),
-            "flavor": flavor.value,
-        },
-        result,
-        "enumeration",
-        t0,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    return result
 
 
-def cmd_qpoly(args) -> int:
-    t0 = time.monotonic()
+def cmd_qpoly(args, inputs: dict) -> dict:
     tops = parse_set(args.x)
+    inputs.update(n=args.n, x=str(tops))
     poly = stats.q_recursion(args.n, tops)
-    payload = {
-        f"{eq},{ex}": str(c) for (eq, ex), c in sorted(poly.items())
-    }
-    record = _record(
-        "q-poly",
-        {"n": args.n, "x": str(tops)},
-        {"coefficients_q_x": payload},
-        "recursion",
-        t0,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+    payload = {f"{eq},{ex}": str(c) for (eq, ex), c in sorted(poly.items())}
+    return {"coefficients_q_x": payload}
 
 
-def cmd_hypergeom(args) -> int:
-    t0 = time.monotonic()
-    try:
-        if args.suite == "pfaff":
-            checked = 0
-            for a in range(-args.max, 1):
-                for b in range(-args.max, 1):
-                    for n in range(args.max + 1):
-                        for c in range(-2 * args.max, args.max + 1):
-                            try:
-                                lhs = hypergeom.pfaff_saalschutz_lhs(n, a, b, c)
-                                rhs = hypergeom.pfaff_saalschutz_rhs(n, a, b, c)
-                            except hypergeom.IllPosedSeriesError:
-                                continue
-                            if lhs != rhs:
-                                raise verify.VerificationError(
-                                    "summation formula fails",
-                                    {"n": n, "a": a, "b": b, "c": c},
-                                )
-                            checked += 1
-        elif args.suite == "cor35":
-            checked = 0
-            for k in range(1, args.max + 1):
-                for m in range(1, args.max + 1):
-                    for s in range(k * m + 1):
-                        left, right, count = hypergeom.verify_cor35(k, m, s)
-                        if not (left == right == count):
-                            raise verify.VerificationError(
-                                "mod-(k+1) identity fails",
-                                {"k": k, "m": m, "s": s},
-                            )
-                        checked += 1
-        else:
-            checked = verify.sweep_hypergeom(args.max)
-    except verify.VerificationError as err:
-        _emit(
-            _record("hypergeom", {"suite": args.suite}, {"failure": err.payload},
-                    "exact", t0),
-            args.format,
-        )
-        return EXIT_VERIFY_FAILED
-    record = _record(
-        "hypergeom", {"suite": args.suite, "max": args.max},
-        {"cases_checked": checked}, "exact", t0
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+def cmd_hypergeom(args, inputs: dict) -> dict:
+    inputs.update(suite=args.suite, max=args.max)
+    if args.suite == "balanced":
+        return {"cases_checked": verify.sweep_balanced()}
+    sweep = verify.sweep_pfaff if args.suite == "pfaff" else verify.sweep_cor35
+    return {"cases_checked": sweep(args.max)}
 
 
-def cmd_verify(args) -> int:
-    t0 = time.monotonic()
-    try:
-        counts = verify.run_suite(args.suite, args.max_n, seed=args.seed)
-    except verify.VerificationError as err:
-        record = _record(
-            "verify",
-            {"suite": args.suite, "max_n": args.max_n},
-            {"failure": err.payload, "message": str(err)},
-            "sweep",
-            t0,
-        )
-        _emit(record, args.format)
-        return EXIT_VERIFY_FAILED
-    record = _record(
-        "verify",
-        {"suite": args.suite, "max_n": args.max_n},
-        {"cases_checked": counts},
-        "sweep",
-        t0,
-    )
-    _emit(record, args.format)
-    return EXIT_OK
+def cmd_verify(args, inputs: dict) -> dict:
+    inputs.update(suite=args.suite, max_n=args.max_n)
+    counts = verify.run_suite(args.suite, args.max_n, seed=args.seed)
+    return {"cases_checked": counts}
 
 
 def _size(text: str) -> int:
     """argparse type for --n: a non-negative integer."""
     try:
-        return check_size(int(text))
-    except ValueError as err:
+        return check_size(parse_int(text, "n"))
+    except InputError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
@@ -353,12 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("board", help="descent board, heights, structure")
     p.add_argument("--n", type=_size, required=True)
     add_sets(p, with_z=True)
-    p.set_defaults(func=cmd_board)
+    p.set_defaults(func=cmd_board, method="direct")
 
     p = sub.add_parser("foata", help="cycle-rewriting bijection")
     p.add_argument("--perm", required=True)
     p.add_argument("--inverse", action="store_true")
-    p.set_defaults(func=cmd_foata)
+    p.set_defaults(func=cmd_foata, method="cycle-rewriting")
 
     p = sub.add_parser("configs", help="signed configurations and involution")
     p.add_argument("--n", type=_size, required=True)
@@ -368,17 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flavor", choices=("standard", "overline"), default="standard")
     p.add_argument("--list", action="store_true")
     p.add_argument("--trace", default=None, help="configuration string to map")
-    p.set_defaults(func=cmd_configs)
+    p.set_defaults(func=cmd_configs, method="enumeration")
 
     p = sub.add_parser("q-poly", help="q-refined descent polynomial")
     p.add_argument("--n", type=_size, required=True)
     p.add_argument("--x", required=True)
-    p.set_defaults(func=cmd_qpoly)
+    p.set_defaults(func=cmd_qpoly, method="recursion")
 
     p = sub.add_parser("hypergeom", help="hypergeometric identity suites")
     p.add_argument("--suite", choices=("pfaff", "balanced", "cor35"), default="pfaff")
     p.add_argument("--max", type=int, default=5)
-    p.set_defaults(func=cmd_hypergeom)
+    p.set_defaults(func=cmd_hypergeom, method="exact")
 
     p = sub.add_parser("verify", help="cross-check sweeps")
     p.add_argument(
@@ -387,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--max-n", type=int, default=4)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, method="sweep")
     return parser
 
 
@@ -397,17 +280,29 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.monotonic()
+    inputs: dict = {}
+    code = EXIT_OK
     try:
-        return args.func(args)
-    except UsageError as err:
+        result = args.func(args, inputs)
+    except verify.VerificationError as err:
+        result = {"failure": err.payload, "message": str(err)}
+        code = EXIT_VERIFY_FAILED
+    except (UsageError, InputError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as err:
         print(f"cap exceeded: {err}", file=sys.stderr)
         return EXIT_CAP
-    except ValueError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+    record = {
+        "command": args.subcommand,
+        "inputs": inputs,
+        "result": result,
+        "method": args.method,
+        "elapsed_ms": round((time.monotonic() - t0) * 1000, 3),
+    }
+    _emit(record, args.format)
+    return code
 
 
 if __name__ == "__main__":

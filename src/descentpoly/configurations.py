@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .closed_forms import permutation_form
-from .perms import all_permutations
+from .perms import InputError, all_permutations
 from .polynomials import binom
 from .sets import IntegerSet
 from .stats import CapExceededError
@@ -56,7 +56,7 @@ class Flavor(enum.Enum):
     OVERLINE = "overline"
 
 
-class MalformedConfigurationError(ValueError):
+class MalformedConfigurationError(InputError):
     pass
 
 
@@ -459,7 +459,7 @@ def config_from_str(
             flush()
             items.append(ch)
         else:
-            raise ValueError(f"bad character {ch!r} in configuration")
+            raise InputError(f"bad character {ch!r} in configuration")
     flush()
     config = Configuration(items, flavor, tops, bottoms)
     if not _legal(config):

@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import permutations
 
 __all__ = [
+    "InputError",
     "check_size",
     "check_permutation",
     "identity",
@@ -14,22 +15,37 @@ __all__ = [
     "cycles",
     "from_cycles",
     "all_permutations",
+    "parse_int",
     "parse_permutation",
     "format_permutation",
 ]
 
 
+class InputError(ValueError):
+    """Input that names no valid object: a size, permutation, set,
+    composition or configuration.  The CLI reports it as a usage error."""
+
+
 def check_size(n: int) -> int:
-    """n itself when it can be the size of S_n; ValueError when n < 0."""
+    """n itself when it can be the size of S_n; InputError when n < 0."""
     if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+        raise InputError(f"n must be >= 0, got {n}")
     return n
+
+
+def parse_int(token: str, context: str) -> int:
+    """int(token), or InputError naming the token and the text it came from."""
+    try:
+        return int(token)
+    except ValueError:
+        msg = f"cannot parse {context}: {token!r} is not an integer"
+        raise InputError(msg) from None
 
 
 def check_permutation(values) -> tuple[int, ...]:
     p = tuple(values)
     if sorted(p) != list(range(1, len(p) + 1)):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
+        raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p
 
 
@@ -89,11 +105,9 @@ def all_permutations(n: int):
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Accepts `61437258` (single digits) or a comma list `6,1,4,3,7,2,5,8`."""
     text = text.strip()
-    if "," in text:
-        vals = [int(tok) for tok in text.split(",")]
-    else:
-        vals = [int(ch) for ch in text]
-    return check_permutation(vals)
+    tokens = text.split(",") if "," in text else text
+    context = f"permutation {text!r}"
+    return check_permutation(parse_int(tok, context) for tok in tokens)
 
 
 def format_permutation(p: tuple[int, ...]) -> str:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+from .perms import InputError
+
 __all__ = [
     "IntegerSet",
     "Explicit",
@@ -160,7 +162,7 @@ def _parse_atom(text: str) -> IntegerSet:
     prefix = next((p for p in _FORMS if text.startswith(p)), None)
     if prefix is None or (prefix == "{" and not text.endswith("}")):
         expected = ", ".join(("all", *_FORMS.values()))
-        raise ValueError(f"cannot parse set syntax: {text!r} (expected {expected})")
+        raise InputError(f"cannot parse set syntax: {text!r} (expected {expected})")
     try:
         if prefix == "{":
             inner = text[1:-1].strip()
@@ -173,13 +175,13 @@ def _parse_atom(text: str) -> IntegerSet:
             _, k = text.split(":")
             make, args = at_least, (int(k),)
     except ValueError:
-        raise ValueError(
+        raise InputError(
             f"cannot parse set syntax: {text!r} (expected {_FORMS[prefix]})"
         ) from None
     try:
         return make(*args)
     except ValueError as err:
-        raise ValueError(f"invalid set {text!r}: {err}") from None
+        raise InputError(f"invalid set {text!r}: {err}") from None
 
 
 def parse_set(text: str) -> IntegerSet:

@@ -15,7 +15,7 @@ from operator import add, sub
 
 import numpy as np
 
-from .perms import check_permutation, check_size
+from .perms import check_size
 from .polynomials import BivarPolynomial, IntPolynomial
 from .sets import ALL, IntegerSet, explicit_set
 

@@ -26,6 +26,9 @@ __all__ = [
     "sweep_words",
     "sweep_rook",
     "sweep_foata",
+    "sweep_pfaff",
+    "sweep_cor35",
+    "sweep_balanced",
     "sweep_hypergeom",
     "SUITES",
     "run_suite",
@@ -313,8 +316,9 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
     return checked
 
 
-def sweep_hypergeom(max_param: int = 5) -> int:
-    """Summation formula grid, the mod-(k+1) identity, and balanced profiles."""
+def sweep_pfaff(max_param: int = 5) -> int:
+    """The Pfaff-Saalschutz formula for integers a, b in [-max_param, 0],
+    n in [0, max_param] and c in [-2 max_param, max_param], if well posed."""
     checked = 0
     for a in range(-max_param, 1):
         for b in range(-max_param, 1):
@@ -332,8 +336,14 @@ def sweep_hypergeom(max_param: int = 5) -> int:
                              "lhs": str(lhs), "rhs": str(rhs)},
                         )
                     checked += 1
-    for k in range(1, 3):
-        for m in range(1, 3):
+    return checked
+
+
+def sweep_cor35(max_km: int = 2) -> int:
+    """The mod-(k+1) identity for k, m <= max_km and every s."""
+    checked = 0
+    for k in range(1, max_km + 1):
+        for m in range(1, max_km + 1):
             for s in range(k * m + 1):
                 left, right, count = hypergeom.verify_cor35(k, m, s)
                 if not (left == right == count):
@@ -343,24 +353,36 @@ def sweep_hypergeom(max_param: int = 5) -> int:
                          "right": str(right), "count": count},
                     )
                 checked += 1
-    profiles = []
+    return checked
+
+
+def sweep_balanced() -> int:
+    """The balanced transformation on every (u, v) profile with k <= 2 and
+    entries <= 3, at the profile's least n and every s."""
+    checked = 0
     for k in (1, 2):
         for u in _tuples(k, 0, 3, weakly_increasing=True):
             for v in _tuples(k, 1, 3):
-                profiles.append(hypergeom.UVProfile(u, v))
-    for profile in profiles:
-        n = profile.min_n()
-        for s in range(n + 1):
-            left, right, count = hypergeom.verify_balanced_identity(profile, n, s)
-            if not (left == right == count):
-                raise VerificationError(
-                    "balanced transformation fails",
-                    {"u": list(profile.u), "v": list(profile.v), "n": n,
-                     "s": s, "left": str(left), "right": str(right),
-                     "count": count},
-                )
-            checked += 1
+                profile = hypergeom.UVProfile(u, v)
+                n = profile.min_n()
+                for s in range(n + 1):
+                    left, right, count = hypergeom.verify_balanced_identity(
+                        profile, n, s
+                    )
+                    if not (left == right == count):
+                        raise VerificationError(
+                            "balanced transformation fails",
+                            {"u": list(profile.u), "v": list(profile.v), "n": n,
+                             "s": s, "left": str(left), "right": str(right),
+                             "count": count},
+                        )
+                    checked += 1
     return checked
+
+
+def sweep_hypergeom(max_param: int = 5) -> int:
+    """Summation formula grid, the mod-(k+1) identity, and balanced profiles."""
+    return sweep_pfaff(max_param) + sweep_cor35(2) + sweep_balanced()
 
 
 def _tuples(k, lo, hi, weakly_increasing=False):

@@ -14,6 +14,7 @@ from itertools import permutations
 from operator import getitem
 
 from .closed_forms import ClosedForm
+from .perms import InputError
 from .polynomials import IntPolynomial, multinomial
 from .sets import ALL, IntegerSet
 from .stats import CapExceededError, DescentQuery
@@ -36,7 +37,7 @@ DEFAULT_WORD_CAP = 10**6
 def _check_rho(rho) -> tuple[int, ...]:
     rho = tuple(rho)
     if not rho or any(p < 0 for p in rho):
-        raise ValueError(f"composition parts must be >= 0: {rho}")
+        raise InputError(f"composition parts must be >= 0: {rho}")
     return rho
 
 
@@ -46,25 +47,30 @@ def rearrangement_count(rho) -> int:
 
 
 def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
-    """All rearrangements, in lexicographic order, as tuples of letters."""
+    """All rearrangements, in lexicographic order, as tuples of letters.
+
+    Knuth's Algorithm L (TAOCP 7.2.1.2) on one list: find the last ascent
+    a[j] < a[j+1], swap a[j] with the last letter above it, and reverse
+    the tail after j.
+    """
     rho = _check_rho(rho)
     if rearrangement_count(rho) > limit:
         raise CapExceededError(
             f"|R({rho})| = {rearrangement_count(rho)} exceeds the cap {limit}"
         )
-
-    def gen(remaining, total):
-        if total == 0:
-            yield ()
+    a = [v for v, part in enumerate(rho, start=1) for _ in range(part)]
+    while True:
+        yield tuple(a)
+        j = len(a) - 2
+        while j >= 0 and a[j] >= a[j + 1]:
+            j -= 1
+        if j < 0:
             return
-        for v in range(1, len(remaining) + 1):
-            if remaining[v - 1]:
-                rest = list(remaining)
-                rest[v - 1] -= 1
-                for tail in gen(tuple(rest), total - 1):
-                    yield (v,) + tail
-
-    yield from gen(rho, sum(rho))
+        last = len(a) - 1
+        while a[j] >= a[last]:
+            last -= 1
+        a[j], a[last] = a[last], a[j]
+        a[j + 1:] = a[:j:-1]
 
 
 def word_brute_poly(

@@ -1,0 +1,213 @@
+"""One record path in the CLI: records, failure records and exit codes."""
+
+import json
+from fractions import Fraction
+
+import pytest
+
+from descentpoly import configurations, hypergeom, stats, verify, words
+from descentpoly.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
+from descentpoly.perms import InputError, check_size, parse_permutation
+from descentpoly.sets import ALL, parse_set
+from test_cli import _readme_commands, run
+
+# (command, method, inputs) of each README command, as recorded before the
+# handlers stopped building their own records.
+README_RECORDS = {
+    "poly --n 6 --x {2,3,4,6,7,9} --y {1,4,8} --method recursion": (
+        "poly", "recursion", {"n": 6, "x": "{2,3,4,6,7,9}", "y": "{1,4,8}", "z": "all"},
+    ),
+    "poly --n 6 --x {2,3,4,6,7,9} --y {1,4,8} --method rook": (
+        "poly", "rook", {"n": 6, "x": "{2,3,4,6,7,9}", "y": "{1,4,8}", "z": "all"},
+    ),
+    "xyz --n 8 --x all --y all --z {1}": (
+        "xyz", "rook", {"n": 8, "x": "all", "y": "all", "z": "{1}"},
+    ),
+    "xyz --n 30 --x mod:3:0,2 --y all --z {1,2,4}": (
+        "xyz", "rook", {"n": 30, "x": "mod:3:0,2", "y": "all", "z": "{1,2,4}"},
+    ),
+    "word-poly --rho 2,3,1,2 --x {2,4} --y {1,2}": (
+        "word-poly", "formula1", {"rho": [2, 3, 1, 2], "x": "{2,4}", "y": "{1,2}"},
+    ),
+    "board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}": (
+        "board", "direct",
+        {"n": 8, "x": "{2,3,5,7,8}", "y": "{1,2,4,5,6}", "z": "all"},
+    ),
+    "foata --perm 61437258": (
+        "foata", "cycle-rewriting", {"perm": "61437258", "inverse": False},
+    ),
+    "foata --perm 43612758 --inverse": (
+        "foata", "cycle-rewriting", {"perm": "43612758", "inverse": True},
+    ),
+    "configs --n 6 --s 1 --r 1 --x {2,3,6} --y {1,2,5} --flavor overline "
+    "--trace 213+6-54": (
+        "configs", "enumeration",
+        {"n": 6, "s": 1, "r": 1, "x": "{2,3,6}", "y": "{1,2,5}", "flavor": "overline"},
+    ),
+    "q-poly --n 6 --x mod:2:0": ("q-poly", "recursion", {"n": 6, "x": "mod:2:0"}),
+    "hypergeom --suite pfaff --max 5": (
+        "hypergeom", "exact", {"suite": "pfaff", "max": 5},
+    ),
+    "verify --suite all --max-n 4": ("verify", "sweep", {"suite": "all", "max_n": 4}),
+}
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_records_pinned(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_OK, err
+    record = json.loads(out)
+    command, method, inputs = README_RECORDS[" ".join(argv)]
+    assert record["command"] == command
+    assert record["method"] == method
+    assert record["inputs"] == inputs
+    assert record["elapsed_ms"] >= 0
+
+
+def test_text_record_lists_inputs_in_order(capsys):
+    code, out, _ = run(capsys, "--format", "text", "foata", "--perm", "61437258")
+    assert code == EXIT_OK
+    lines = out.splitlines()
+    assert lines[:5] == [
+        "command: foata",
+        "  perm: 61437258",
+        "  inverse: False",
+        "method: cycle-rewriting",
+        "  image: 43612758",
+    ]
+    assert lines[5].startswith("elapsed_ms: ")
+
+
+class TestHypergeomSuites:
+    def test_balanced_runs_only_the_profiles(self, capsys):
+        for bound in (1, 5):
+            argv = ["hypergeom", "--suite", "balanced", "--max", str(bound)]
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            record = json.loads(out)
+            assert record["result"]["cases_checked"] == verify.sweep_balanced()
+            assert record["inputs"] == {"suite": "balanced", "max": bound}
+
+    @pytest.mark.parametrize("bound", [1, 2, 3])
+    def test_pfaff_and_cor35_run_the_verify_sweeps(self, capsys, bound):
+        sweeps = {"pfaff": verify.sweep_pfaff, "cor35": verify.sweep_cor35}
+        for suite, sweep in sweeps.items():
+            argv = ["hypergeom", "--suite", suite, "--max", str(bound)]
+            code, out, _ = run(capsys, *argv)
+            assert code == EXIT_OK
+            assert json.loads(out)["result"]["cases_checked"] == sweep(bound)
+
+    @pytest.mark.parametrize("bound, total", [(2, 998), (3, 1325), (5, 3338)])
+    def test_sweep_hypergeom_is_the_three_parts(self, bound, total):
+        pfaff, cor35 = verify.sweep_pfaff(bound), verify.sweep_cor35(2)
+        parts = pfaff + cor35 + verify.sweep_balanced()
+        assert verify.sweep_hypergeom(bound) == parts == total
+
+
+@pytest.fixture
+def wrong_rhs(monkeypatch):
+    """The summation formula's right side, off by one."""
+    real = hypergeom.pfaff_saalschutz_rhs
+    monkeypatch.setattr(
+        hypergeom, "pfaff_saalschutz_rhs", lambda *args: real(*args) + Fraction(1)
+    )
+
+
+FAILING = [
+    (["verify", "--suite", "hypergeom", "--max-n", "3"],
+     "verify", "sweep", {"suite": "hypergeom", "max_n": 3}),
+    (["hypergeom", "--suite", "pfaff", "--max", "3"],
+     "hypergeom", "exact", {"suite": "pfaff", "max": 3}),
+]
+FAILING_IDS = ["verify", "hypergeom"]
+
+
+@pytest.mark.parametrize("argv, command, method, inputs", FAILING, ids=FAILING_IDS)
+def test_verification_failure_exits_1_with_a_full_record(
+    capsys, wrong_rhs, argv, command, method, inputs
+):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_VERIFY_FAILED
+    assert err == ""
+    record = json.loads(out)
+    assert record["command"] == command
+    assert record["method"] == method
+    assert record["inputs"] == inputs
+    failure = record["result"]["failure"]
+    assert set(failure) == {"n", "a", "b", "c", "lhs", "rhs"}
+    assert Fraction(failure["rhs"]) == Fraction(failure["lhs"]) + 1
+    assert record["result"]["message"] == "summation formula fails"
+
+
+@pytest.mark.parametrize("argv, command, method, inputs", FAILING, ids=FAILING_IDS)
+def test_verification_failure_in_text(capsys, wrong_rhs, argv, command, method, inputs):
+    code, out, _ = run(capsys, "--format", "text", *argv)
+    assert code == EXIT_VERIFY_FAILED
+    lines = out.splitlines()
+    assert lines[0] == f"command: {command}"
+    assert lines[1:3] == [f"  {key}: {value}" for key, value in inputs.items()]
+    assert lines[3] == f"method: {method}"
+    assert "  failure:" in lines
+    assert any(line.startswith("    lhs: ") for line in lines)
+    assert any(line.startswith("    rhs: ") for line in lines)
+    assert "  message: summation formula fails" in lines
+
+
+def test_internal_value_error_propagates(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(stats, "recursion_bivar", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["poly", "--n", "4", "--x", "all", "--y", "all", "--method", "recursion"])
+    monkeypatch.setattr(verify, "sweep_cor35", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["hypergeom", "--suite", "cor35", "--max", "2"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["poly", "--n", "4", "--x", "nope", "--y", "all"],
+         "usage error: cannot parse set syntax: 'nope' ("),
+        (["poly", "--n", "4", "--x", "{0}", "--y", "all"], "'{0}'"),
+        (["poly", "--n", "-1", "--x", "all", "--y", "all"],
+         "argument --n: n must be >= 0"),
+        (["poly", "--n", "abc", "--x", "all", "--y", "all"], "'abc'"),
+        (["foata", "--perm", "12x"],
+         "usage error: cannot parse permutation '12x': 'x' is not an integer"),
+        (["foata", "--perm", "1134"], "not a permutation of 1..4: (1, 1, 3, 4)"),
+        (["word-poly", "--rho", "2,a", "--x", "all", "--y", "all"],
+         "usage error: cannot parse composition '2,a': 'a' is not an integer"),
+        (["word-poly", "--rho", "2,-1", "--x", "all", "--y", "all"],
+         "composition parts must be >= 0: (2, -1)"),
+        (["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y", "all",
+          "--trace", "1a2"], "bad character 'a' in configuration"),
+        (["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y", "all",
+          "--flavor", "overline", "--trace", "3-21"], "usage error: 3-21"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_input_errors_are_typed():
+    flavor = configurations.Flavor.STANDARD
+    for bad in (
+        lambda: check_size(-1),
+        lambda: parse_permutation("12x"),
+        lambda: parse_permutation("1134"),
+        lambda: parse_set("mod:3"),
+        lambda: words.rearrangement_count((2, -1)),
+        lambda: configurations.config_from_str("1a2", flavor, ALL, ALL),
+        lambda: configurations.config_from_str("3-21", flavor, ALL, ALL),
+    ):
+        with pytest.raises(InputError):
+            bad()
+    assert issubclass(configurations.MalformedConfigurationError, InputError)
+    assert issubclass(InputError, ValueError)
