@@ -18,7 +18,7 @@ import sys
 import time
 
 from . import closed_forms, configurations, rook, stats, verify, words
-from .perms import InputError, check_size, parse_int
+from .perms import InputError, check_permutation, check_size, parse_int
 from .perms import format_permutation, parse_permutation
 from .polynomials import IntPolynomial
 from .sets import ALL, parse_set
@@ -158,6 +158,9 @@ def cmd_configs(args, inputs: dict) -> dict:
     }
     if args.trace:
         c = configurations.config_from_str(args.trace, flavor, tops, bottoms)
+        if len(c.sequence) != args.n:
+            raise InputError(f"trace {args.trace!r} is not on the letters 1..{args.n}")
+        check_permutation(c.sequence)
         result["trace"] = {"input": str(c), "image": str(configurations.involution(c))}
     return result
 
@@ -185,7 +188,7 @@ def cmd_verify(args, inputs: dict) -> dict:
 
 
 def _size(text: str) -> int:
-    """argparse type for --n: a non-negative integer."""
+    """argparse type for --n, --max and --max-n: a non-negative integer."""
     try:
         return check_size(parse_int(text, "n"))
     except InputError as err:
@@ -260,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hypergeom", help="hypergeometric identity suites")
     p.add_argument("--suite", choices=("pfaff", "balanced", "cor35"), default="pfaff")
-    p.add_argument("--max", type=int, default=5)
+    p.add_argument("--max", type=_size, default=5)
     p.set_defaults(func=cmd_hypergeom, method="exact")
 
     p = sub.add_parser("verify", help="cross-check sweeps")
@@ -269,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("formulas", "configs", "words", "rook", "foata", "hypergeom", "all"),
         default="all",
     )
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_size, default=4)
     p.set_defaults(func=cmd_verify, method="sweep")
     return parser
 

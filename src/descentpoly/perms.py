@@ -8,10 +8,6 @@ __all__ = [
     "InputError",
     "check_size",
     "check_permutation",
-    "identity",
-    "inverse",
-    "complement",
-    "reverse",
     "cycles",
     "from_cycles",
     "all_permutations",
@@ -47,26 +43,6 @@ def check_permutation(values) -> tuple[int, ...]:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p
-
-
-def identity(n: int) -> tuple[int, ...]:
-    return tuple(range(1, n + 1))
-
-
-def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(p)
-    for pos, val in enumerate(p, start=1):
-        inv[val - 1] = pos
-    return tuple(inv)
-
-
-def complement(p: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(p)
-    return tuple(n + 1 - v for v in p)
-
-
-def reverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(reversed(p))
 
 
 def cycles(p: tuple[int, ...]) -> list[list[int]]:

@@ -106,9 +106,6 @@ class IntPolynomial:
             other = IntPolynomial({0: other})
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial({e: v * other for e, v in self._c.items()})
@@ -186,35 +183,8 @@ class BivarPolynomial:
     def __hash__(self):
         return hash(frozenset(self._c.items()))
 
-    def __add__(self, other) -> "BivarPolynomial":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) + v
-        return BivarPolynomial(c)
-
-    def __sub__(self, other) -> "BivarPolynomial":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            c[k] = c.get(k, 0) - v
-        return BivarPolynomial(c)
-
-    def __mul__(self, other) -> "BivarPolynomial":
-        if isinstance(other, int):
-            return BivarPolynomial({k: v * other for k, v in self._c.items()})
-        c = {}
-        for (a1, a2), v1 in self._c.items():
-            for (b1, b2), v2 in other._c.items():
-                k = (a1 + b1, a2 + b2)
-                c[k] = c.get(k, 0) + v1 * v2
-        return BivarPolynomial(c)
-
-    __rmul__ = __mul__
-
     def shift(self, d1: int, d2: int) -> "BivarPolynomial":
         return BivarPolynomial({(e1 + d1, e2 + d2): v for (e1, e2), v in self._c.items()})
-
-    def __call__(self, v1, v2):
-        return sum(c * v1**e1 * v2**e2 for (e1, e2), c in self._c.items())
 
     def specialize_first(self, value: int) -> IntPolynomial:
         """Substitute the first variable, leaving a polynomial in the second."""

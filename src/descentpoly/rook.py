@@ -16,10 +16,10 @@ from itertools import accumulate
 from math import comb
 from operator import mul
 
-from .perms import all_permutations, check_permutation, check_size, from_cycles
+from .perms import all_permutations, check_permutation, check_size, cycles, from_cycles
 from .polynomials import IntPolynomial
 from .sets import ALL, IntegerSet
-from .stats import CapExceededError, DescentQuery, des_set
+from .stats import CapExceededError, DescentQuery
 
 __all__ = [
     "Board",
@@ -66,9 +66,6 @@ class Board:
     @property
     def size(self) -> int:
         return len(self.cells)
-
-    def row(self, i: int) -> frozenset:
-        return frozenset(j for (r, j) in self.cells if r == i)
 
     def ascii_grid(self) -> str:
         """Rows top to bottom are values n down to 1."""
@@ -274,22 +271,10 @@ def foata(omega) -> tuple[int, ...]:
     Write each cycle with its largest element last, order cycles by
     increasing largest element, reverse each cycle, concatenate.
     """
-    omega = check_permutation(omega)
-    n = len(omega)
-    seen = [False] * (n + 1)
     cycs = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        cyc = []
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cyc.append(cur)
-            cur = omega[cur - 1]
+    for cyc in cycles(check_permutation(omega)):
         top = cyc.index(max(cyc))
-        cyc = cyc[top + 1 :] + cyc[: top + 1]  # rotate largest to the end
-        cycs.append(cyc)
+        cycs.append(cyc[top + 1 :] + cyc[: top + 1])  # rotate largest to the end
     cycs.sort(key=max)
     out = []
     for cyc in cycs:
@@ -359,9 +344,3 @@ def hits_via_foata(n: int, query: DescentQuery) -> IntPolynomial:
     """Descent polynomial as the hit polynomial of the query's board."""
     return hits_with_route(n, query)[0]
 
-
-def descents_match_excedences(omega, query: DescentQuery) -> bool:
-    """One permutation's worth of the bridge: descent count of the rewritten
-    permutation equals the rook count of the original placement."""
-    board = board_from_query(len(omega), query)
-    return len(des_set(foata(omega), query)) == u_excedences(omega, board)

@@ -202,27 +202,27 @@ def coefficient_recursion_bivar(
     cross-checked against each other in the tests.
     """
     coeffs = {(0, 0): 1}
+    t = 0  # every key after m steps has t = #non-bottoms in 1..m
     for m in range(check_size(n)):
         in_tops = (m + 1) in tops
         in_bottoms = (m + 1) in bottoms
+        t += not in_bottoms
         new: dict[tuple[int, int], int] = {}
         max_s = max(s for s, _ in coeffs) + 1
-        max_t = max(t for _, t in coeffs) + 1
         for s in range(max_s + 1):
-            for t in range(max_t + 1):
-                def old(si, ti):
-                    return coeffs.get((si, ti), 0)
+            def old(si, ti):
+                return coeffs.get((si, ti), 0)
 
-                if not in_tops and not in_bottoms:
-                    v = (s + 1) * old(s + 1, t - 1) + (m + 1 - s) * old(s, t - 1)
-                elif not in_tops and in_bottoms:
-                    v = (s + 1) * old(s + 1, t) + (m + 1 - s) * old(s, t)
-                elif in_tops and not in_bottoms:
-                    v = (s + t) * old(s, t - 1) + (m + 2 - s - t) * old(s - 1, t - 1)
-                else:
-                    v = (s + t + 1) * old(s, t) + (m + 1 - s - t) * old(s - 1, t)
-                if v:
-                    new[(s, t)] = v
+            if not in_tops and not in_bottoms:
+                v = (s + 1) * old(s + 1, t - 1) + (m + 1 - s) * old(s, t - 1)
+            elif not in_tops and in_bottoms:
+                v = (s + 1) * old(s + 1, t) + (m + 1 - s) * old(s, t)
+            elif in_tops and not in_bottoms:
+                v = (s + t) * old(s, t - 1) + (m + 2 - s - t) * old(s - 1, t - 1)
+            else:
+                v = (s + t + 1) * old(s, t) + (m + 1 - s - t) * old(s - 1, t)
+            if v:
+                new[(s, t)] = v
         coeffs = new
     return BivarPolynomial(coeffs)
 

@@ -11,7 +11,8 @@ products away.
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from functools import partial
+from itertools import combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -75,39 +76,50 @@ def _brute_distributions(d: np.ndarray, m: int, xvec: np.ndarray, yvecs: np.ndar
     return hist
 
 
-def sweep_formulas(max_n: int) -> int:
-    """Both closed formulas against brute force, all (X, Y) pairs, all s."""
+def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
+    """Both closed forms against brute force for each (head, seqs, m, form)
+    of ``classes``: the sequences over the letters 1..m, every (X, Y) pair
+    of subsets of [m], every s up to the sequence length.  ``form(X, Y,
+    second)`` builds a form; a failure reports ``head`` and the two values
+    under ``names``."""
     checked = 0
-    for n in range(1, max_n + 1):
-        seqs = list(permutations(range(1, n + 1)))
-        d = _pair_matrix(seqs, n)
-        subsets = _subsets(n)
+    for head, seqs, m, form in classes:
+        d = _pair_matrix(seqs, m)
+        subsets = _subsets(m)
         yvecs = np.stack([vec for vec, _ in subsets])
         for xvec, xset in subsets:
-            hist = _brute_distributions(d, n, xvec, yvecs)
+            hist = _brute_distributions(d, m, xvec, yvecs)
             for yidx, (_, yset) in enumerate(subsets):
-                poly1 = closed_forms.permutation_form(n, xset, yset).polynomial()
-                poly2 = closed_forms.permutation_form(
-                    n, xset, yset, second=True
-                ).polynomial()
-                for s in range(n + 1):
+                poly1 = form(xset, yset, False).polynomial()
+                poly2 = form(xset, yset, True).polynomial()
+                for s in range(len(seqs[0]) + 1):
                     brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
                     f1, f2 = poly1.coeff(s), poly2.coeff(s)
                     if not (f1 == f2 == brute):
                         raise VerificationError(
-                            "closed formulas disagree with brute force",
+                            message,
                             {
-                                "n": n,
+                                **head,
                                 "s": s,
                                 "tops": str(xset),
                                 "bottoms": str(yset),
-                                "formula_alpha_beta": f1,
-                                "formula_beta_beta": f2,
+                                names[0]: f1,
+                                names[1]: f2,
                                 "brute": brute,
                             },
                         )
                     checked += 1
     return checked
+
+
+def sweep_formulas(max_n: int) -> int:
+    """Both closed formulas against brute force, all (X, Y) pairs, all s."""
+    return _sweep_closed_forms(
+        "closed formulas disagree with brute force",
+        ("formula_alpha_beta", "formula_beta_beta"),
+        (({"n": n}, list(permutations(range(1, n + 1))), n,
+          partial(closed_forms.permutation_form, n)) for n in range(1, max_n + 1)),
+    )
 
 
 def _random_subset(n: int, rng: random.Random):
@@ -208,37 +220,13 @@ def _compositions(n: int):
 
 def sweep_words(max_n: int) -> int:
     """Both word formulas against enumeration, all compositions and pairs."""
-    checked = 0
-    for n in range(1, max_n + 1):
-        for rho in _compositions(n):
-            m = len(rho)
-            seqs = list(words.enumerate_rearrangements(rho))
-            d = _pair_matrix(seqs, m)
-            subsets = _subsets(m)
-            yvecs = np.stack([vec for vec, _ in subsets])
-            for xvec, xset in subsets:
-                hist = _brute_distributions(d, m, xvec, yvecs)
-                for yidx, (_, yset) in enumerate(subsets):
-                    poly1 = words.word_form(rho, xset, yset).polynomial()
-                    poly2 = words.word_form(rho, xset, yset, second=True).polynomial()
-                    for s in range(n + 1):
-                        brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
-                        f1, f2 = poly1.coeff(s), poly2.coeff(s)
-                        if not (f1 == f2 == brute):
-                            raise VerificationError(
-                                "word formulas disagree with enumeration",
-                                {
-                                    "rho": list(rho),
-                                    "s": s,
-                                    "tops": str(xset),
-                                    "bottoms": str(yset),
-                                    "word_formula_1": f1,
-                                    "word_formula_2": f2,
-                                    "brute": brute,
-                                },
-                            )
-                        checked += 1
-    return checked
+    return _sweep_closed_forms(
+        "word formulas disagree with enumeration",
+        ("word_formula_1", "word_formula_2"),
+        (({"rho": list(rho)}, list(words.enumerate_rearrangements(rho)), len(rho),
+          partial(words.word_form, rho))
+         for n in range(1, max_n + 1) for rho in _compositions(n)),
+    )
 
 
 def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
@@ -361,8 +349,8 @@ def sweep_balanced() -> int:
     entries <= 3, at the profile's least n and every s."""
     checked = 0
     for k in (1, 2):
-        for u in _tuples(k, 0, 3, weakly_increasing=True):
-            for v in _tuples(k, 1, 3):
+        for u in combinations_with_replacement(range(4), k):
+            for v in product(range(1, 4), repeat=k):
                 profile = hypergeom.UVProfile(u, v)
                 n = profile.min_n()
                 for s in range(n + 1):
@@ -383,18 +371,6 @@ def sweep_balanced() -> int:
 def sweep_hypergeom(max_param: int = 5) -> int:
     """Summation formula grid, the mod-(k+1) identity, and balanced profiles."""
     return sweep_pfaff(max_param) + sweep_cor35(2) + sweep_balanced()
-
-
-def _tuples(k, lo, hi, weakly_increasing=False):
-    def gen(prefix):
-        if len(prefix) == k:
-            yield tuple(prefix)
-            return
-        start = prefix[-1] if (weakly_increasing and prefix) else lo
-        for v in range(start, hi + 1):
-            yield from gen(prefix + [v])
-
-    yield from gen([])
 
 
 SUITES = {

@@ -10,7 +10,7 @@ kernel of ``closed_forms``.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 from operator import getitem
 
 from .closed_forms import ClosedForm
@@ -153,14 +153,4 @@ def standardize(word) -> tuple[int, ...]:
 
 def all_chi_factors(rho):
     """Iterator over the cartesian product of S_{rho_1} x ... x S_{rho_m}."""
-    rho = _check_rho(rho)
-
-    def gen(j):
-        if j == len(rho):
-            yield ()
-            return
-        for phi in permutations(range(1, rho[j] + 1)):
-            for rest in gen(j + 1):
-                yield (phi,) + rest
-
-    yield from gen(0)
+    return product(*(permutations(range(1, p + 1)) for p in _check_rho(rho)))

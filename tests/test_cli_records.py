@@ -211,3 +211,31 @@ def test_input_errors_are_typed():
             bad()
     assert issubclass(configurations.MalformedConfigurationError, InputError)
     assert issubclass(InputError, ValueError)
+
+
+CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y", "all"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (CONFIGS_N3 + ["--trace", "9+"], "trace '9+' is not on the letters 1..3"),
+        (CONFIGS_N3 + ["--trace", "2+1"], "trace '2+1' is not on the letters 1..3"),
+        (CONFIGS_N3 + ["--trace", "9+12"], "not a permutation of 1..3: (9, 1, 2)"),
+        (["verify", "--suite", "formulas", "--max-n", "-1"],
+         "argument --max-n: n must be >= 0"),
+        (["hypergeom", "--max", "-1"], "argument --max: n must be >= 0"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_out_of_range_input_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert message in err
+
+
+def test_trace_on_the_class_letters_still_answers(capsys):
+    code, out, _ = run(capsys, *CONFIGS_N3, "--trace", "2+13")
+    assert code == EXIT_OK
+    assert json.loads(out)["result"]["trace"] == {"input": "2+13", "image": "2+13"}

@@ -5,14 +5,10 @@ import pytest
 from descentpoly.perms import (
     all_permutations,
     check_permutation,
-    complement,
     cycles,
     format_permutation,
     from_cycles,
-    identity,
-    inverse,
     parse_permutation,
-    reverse,
 )
 from descentpoly.polynomials import (
     BivarPolynomial,
@@ -85,14 +81,6 @@ class TestPerms:
             check_permutation((1, 1, 2))
         with pytest.raises(ValueError):
             check_permutation((0, 1))
-
-    def test_group_operations(self):
-        p = (3, 1, 4, 2)
-        assert inverse(p) == (2, 4, 1, 3)
-        assert inverse(inverse(p)) == p
-        assert complement(p) == (2, 4, 1, 3)
-        assert reverse(p) == (2, 4, 1, 3)
-        assert identity(4) == (1, 2, 3, 4)
 
     def test_cycles_round_trip(self):
         for p in all_permutations(5):

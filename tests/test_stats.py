@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from descentpoly.polynomials import BivarPolynomial
-from descentpoly.sets import ALL, EVENS, explicit_set
+from descentpoly.sets import ALL, EVENS, explicit_set, parse_set
 from descentpoly.stats import (
     CapExceededError,
     DescentQuery,
@@ -101,3 +101,9 @@ class TestComplementReverse:
             star = complement_reverse(bottoms, n)
             rhs = brute_poly(n, DescentQuery(star, ALL))
             assert lhs == rhs
+
+
+def test_coefficient_recursion_at_n200():
+    tops, bottoms = parse_set("mod:6:0,1,4"), parse_set("mod:5:0,2")
+    expected = recursion_bivar(200, tops, bottoms)
+    assert coefficient_recursion_bivar(200, tops, bottoms) == expected
