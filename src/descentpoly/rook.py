@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
-from operator import mul
+from operator import add, mul, sub
 
 from .perms import all_permutations, check_permutation, check_size, cycles, from_cycles
 from .polynomials import IntPolynomial
@@ -156,45 +155,63 @@ def row_lengths(board: Board) -> list[int]:
     return [len(r) for r in rows]
 
 
+def _heights(counts: list[int]) -> list[int]:
+    """Heights of the Ferrers shape whose rows of length c number counts[c]
+    (1 <= c <= n): column j has height #{rows of length >= n+1-j}, a running
+    sum from the longest rows down."""
+    return list(accumulate(counts[:0:-1]))
+
+
 def height_structure(board: Board) -> tuple[list[int], list[int]]:
     """Height and structure vectors of the Ferrers shape the board reduces to.
 
     The reduction (drop empty rows/columns, mirror, push into the corner)
-    only remembers the multiset of row sizes: column j of the normalized
-    shape has height #{rows of size >= n+1-j}.
+    only remembers the multiset of row sizes.
     """
     n = board.n
-    lengths = row_lengths(board)
-    heights = [sum(1 for l in lengths if l >= n + 1 - j) for j in range(1, n + 1)]
+    counts = [0] * (n + 1)
+    for length in row_lengths(board):
+        counts[length] += 1
+    heights = _heights(counts)
     structure = [h - (j - 1) for j, h in enumerate(heights, start=1)]
     return heights, structure
 
 
 def ferrers_rook_numbers(heights: list[int]) -> list[int]:
-    """r_0..r_n from a weakly increasing height vector, one column at a time."""
+    """r_0..r_n from a weakly increasing height vector, one column at a time.
+
+    A column of height h adds r_(k-1)·(h-(k-1)) to r_k.  Columns of height 0
+    add nothing, and after m non-empty columns (this one included) only
+    r_0..r_m can be non-zero, so k runs to min(m, h).
+    """
     n = len(heights)
     if any(a > b for a, b in zip(heights, heights[1:])):
         raise NotFerrersError("height vector must be weakly increasing")
-    r = [1] + [0] * n
+    r = [1]
     for h in heights:
-        new = list(r)
-        for k in range(n, 0, -1):
-            free = h - (k - 1)
-            if free > 0 and r[k - 1]:
-                new[k] += r[k - 1] * free
-        r = new
-    return r
+        if not h:
+            continue
+        top = min(len(r), h)
+        if top == len(r):
+            r.append(0)
+        free = range(h, h - top, -1)  # h - (k-1) for k = 1..top
+        r[1 : top + 1] = map(add, r[1 : top + 1], map(mul, r[:top], free))
+    return r + [0] * (n + 1 - len(r))
 
 
 def _hits_from_rooks(r: list[int], n: int) -> list[int]:
-    """h_j = sum_k (-1)^(k-j) r_k (n-k)! C(k, j), the sign read from parity."""
+    """h_0..h_n, the coefficients of H(z) = sum_k r_k (n-k)! (z-1)^k.
+
+    Horner's rule in z - 1 from the last non-zero r_k down: each step is
+    p <- p·(z-1) + r_k (n-k)!, one list of subtractions.
+    """
     fact = list(accumulate(range(1, n + 1), mul, initial=1))  # 0!, 1!, ..., n!
-    w = [rk * fact[n - k] for k, rk in enumerate(r)]
-
-    def part(j, start):
-        return sum(w[k] * comb(k, j) for k in range(start, n + 1, 2))
-
-    return [part(j, j) - part(j, j + 1) for j in range(n + 1)]
+    top = max((k for k, rk in enumerate(r) if rk), default=0)
+    p = [r[top] * fact[n - top]]
+    for k in range(top - 1, -1, -1):
+        p = list(map(sub, [0] + p, p + [0]))
+        p[0] += r[k] * fact[n - k]
+    return p + [0] * (n - top)
 
 
 def rook_route(board: Board) -> tuple[list[int], dict]:
@@ -312,7 +329,7 @@ def canonical_distinct_rows(board: Board) -> tuple[Board, IntegerSet]:
     heights = [s + (j - 1) for j, s in enumerate(s_sorted, start=1)]
     lengths = []
     for k in range(1, n + 1):
-        at_least_k = heights[n - k] if k <= n else 0
+        at_least_k = heights[n - k]
         at_least_k1 = heights[n - k - 1] if k + 1 <= n else 0
         exactly = at_least_k - at_least_k1
         if exactly not in (0, 1):
@@ -334,9 +351,24 @@ def rook_equivalent(board1: Board, board2: Board) -> bool:
 
 def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
     """The query's descent polynomial as a hit polynomial, and the rook path
-    taken (see rook_route)."""
-    board = board_from_query(n, query)
-    r, route = rook_route(board)
+    taken (see rook_route).
+
+    Without a difference set, row i of the board is Y ∩ [1, i-1] for each
+    top i, so the rows nest and one pass over [1, n] counts the row lengths
+    of the Ferrers shape; no board is built.
+    """
+    if query.diffs is ALL:
+        check_size(n)
+        counts = [0] * (n + 1)
+        below = 0  # bottoms below i
+        for i in range(1, n + 1):
+            if below and i in query.tops:
+                counts[below] += 1
+            if i in query.bottoms:
+                below += 1
+        r, route = ferrers_rook_numbers(_heights(counts)), {"rook_path": "ferrers"}
+    else:
+        r, route = rook_route(board_from_query(n, query))
     return IntPolynomial(dict(enumerate(_hits_from_rooks(r, n)))), route
 
 
