@@ -52,19 +52,19 @@ class ClosedForm:
 
     c is the mass of the N letters outside the tops set and P the
     multinomial of their multiplicities (c! for permutations).  Each
-    potential top x comes as (ρ_x, o_x): f_x(r) = r + o_x when ``linear``
-    (permutations, ρ_x = 1), else C(r + o_x, ρ_x).  The alpha/beta form
-    reads x^s; the beta/beta form (``second``) reads x^(L−s), L = Σ ρ_x.
+    potential top x comes as (ρ_x, o_x) with f_x(r) = C(r + o_x, ρ_x), so
+    S_n is the word class ρ = 1ⁿ, whose factors are r + o_x.  The
+    alpha/beta form reads x^s; the beta/beta form (``second``) reads
+    x^(L−s), L = Σ ρ_x.
     """
 
     c: int
     prefactor: int
     offsets: tuple[tuple[int, int], ...]
     second: bool = False
-    linear: bool = True
 
     @classmethod
-    def from_sets(cls, masses, tops, bottoms, second, linear) -> "ClosedForm":
+    def from_sets(cls, masses, tops, bottoms, second) -> "ClosedForm":
         """Letters 1..m of multiplicities ``masses``, in one pass of prefix
         counts: β_X(x), β_Y(x) are the non-top and non-bottom mass below x,
         and α_X(x) = c − β_X(x) is the non-top mass above a top x."""
@@ -81,7 +81,7 @@ class ClosedForm:
         # f_x(r) = r + β_X(x) − β_Y(x) if second, else ρ_x + r + α_X(x) + β_Y(x)
         c = below_x
         offsets = [(p, bx - by if second else p + c - bx + by) for p, bx, by in rows]
-        return cls(c, multinomial(non_tops), tuple(offsets), second, linear)
+        return cls(c, multinomial(non_tops), tuple(offsets), second)
 
     @property
     def top_mass(self) -> int:
@@ -92,10 +92,11 @@ class ClosedForm:
         return self.c + self.top_mass
 
     def weight(self, r: int) -> int:
-        if self.linear:
-            factors = prod(r + o for _, o in self.offsets)
-        else:
-            factors = prod(binom(r + o, p) for p, o in self.offsets)
+        """C(c + r, r) · Π_x C(r + o_x, ρ_x).  C(u, 1) = u is read inline: a
+        negative upper index only follows a zero factor, since formula-1
+        offsets are >= ρ_x and formula-2 offsets start >= 0 and fall by at
+        most ρ_x from one top to the next."""
+        factors = prod(r + o if p == 1 else binom(r + o, p) for p, o in self.offsets)
         return binom(self.c + r, r) * factors
 
     def _degree(self, s: int) -> int:
@@ -107,11 +108,9 @@ class ClosedForm:
         return [_signed_binom(self.n, k - r) * self.weight(r) for r in range(k + 1)]
 
     def coefficient(self, s: int) -> int:
-        k = self._degree(s)
-        if min(s, k) < 0:
+        if min(s, self._degree(s)) < 0:
             return 0
-        weights = [self.weight(r) for r in range(k + 1)]
-        return _alternating_sum(self.prefactor, self.n, weights)[k]
+        return self.prefactor * sum(self.terms(s))
 
     def polynomial(self) -> IntPolynomial:
         """Coefficients s = 0..N (formula 1) or 0..L (formula 2) at once."""
@@ -124,8 +123,9 @@ class ClosedForm:
 def permutation_form(
     n: int, tops: IntegerSet, bottoms: IntegerSet, second: bool = False
 ) -> ClosedForm:
-    """The alpha/beta form for S_n, or the beta/beta form if ``second``."""
-    return ClosedForm.from_sets([1] * check_size(n), tops, bottoms, second, linear=True)
+    """The alpha/beta form for S_n, or the beta/beta form if ``second``: the
+    word form of ρ = 1ⁿ."""
+    return ClosedForm.from_sets((1,) * check_size(n), tops, bottoms, second)
 
 
 def formula_alpha_beta_terms(

@@ -28,8 +28,7 @@ import enum
 from functools import lru_cache
 from itertools import combinations
 
-from .closed_forms import permutation_form
-from .perms import InputError, all_permutations
+from .perms import InputError, check_size
 from .polynomials import binom
 from .sets import IntegerSet
 from .stats import CapExceededError
@@ -49,6 +48,7 @@ __all__ = [
 
 PLUS = "+"
 MINUS = "-"
+CONFIG_CAP = 8  # letters in an enumerated configuration's sequence
 
 
 class Flavor(enum.Enum):
@@ -321,6 +321,13 @@ def _minus_count(flavor: Flavor, seq_len_in_tops: int, s: int, r: int) -> int:
     return seq_len_in_tops - s - r
 
 
+def _composition(n: int | None, rho) -> tuple[int, ...]:
+    """The word class to walk: rho, or 1^n for S_n."""
+    if (n is None) == (rho is None):
+        raise ValueError("pass exactly one of n and rho")
+    return (1,) * check_size(n) if rho is None else tuple(rho)
+
+
 def enumerate_configs(
     flavor: Flavor,
     s: int,
@@ -329,7 +336,6 @@ def enumerate_configs(
     bottoms: IntegerSet,
     n: int | None = None,
     rho: tuple[int, ...] | None = None,
-    limit: int = 8,
 ) -> list[Configuration]:
     """All legal configurations with r '+'s over S_n or over R(rho).
 
@@ -340,22 +346,12 @@ def enumerate_configs(
     or must hold a '+'.  Sequences with the same required-plus gaps share
     one list of sign layouts.
     """
-    if (n is None) == (rho is None):
-        raise ValueError("pass exactly one of n and rho")
-    if n is not None:
-        if n > limit:
-            raise CapExceededError(f"configuration enumeration capped at n <= {limit}")
-        seqs = all_permutations(n)
-        length = n
-        top_letters = len(tops.restrict(n))
-    else:
-        length = sum(rho)
-        if length > limit:
-            raise CapExceededError(f"configuration enumeration capped at n <= {limit}")
-        seqs = enumerate_rearrangements(rho)
-        top_letters = sum(
-            rho[x - 1] for x in range(1, len(rho) + 1) if x in tops
-        )
+    rho = _composition(n, rho)
+    length = sum(rho)
+    if length > CONFIG_CAP:
+        raise CapExceededError(f"configuration enumeration capped at n <= {CONFIG_CAP}")
+    seqs = enumerate_rearrangements(rho)
+    top_letters = sum(part for x, part in enumerate(rho, 1) if x in tops)
     n_minus = _minus_count(flavor, top_letters, s, r)
     if n_minus < 0 or r < 0:
         return []
@@ -401,13 +397,7 @@ def staged_count(
     (order the non-top letters, insert '+'s, insert top letters, insert
     '-'s): the r-th weight of the matching closed form times the ways to
     place the '-'s.  Cross-checked against direct enumeration in the tests."""
-    if (n is None) == (rho is None):
-        raise ValueError("pass exactly one of n and rho")
-    second = flavor is Flavor.OVERLINE
-    if n is not None:
-        form = permutation_form(n, tops, bottoms, second)
-    else:
-        form = word_form(rho, tops, bottoms, second)
+    form = word_form(_composition(n, rho), tops, bottoms, flavor is Flavor.OVERLINE)
     n_minus = _minus_count(flavor, form.top_mass, s, r)
     if n_minus < 0 or r < 0:
         return 0

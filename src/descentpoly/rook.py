@@ -44,6 +44,7 @@ __all__ = [
 
 STATE_CAP = 100_000  # live (mask, rooks) states of the frontier DP
 ENUMERATION_CAP = 10
+PERMANENT_CAP = 14
 
 
 class NotFerrersError(ValueError):
@@ -58,13 +59,10 @@ class Board:
     cells: frozenset
 
     def __post_init__(self):
+        check_size(self.n)
         for i, j in self.cells:
             if not 1 <= j < i <= self.n:
                 raise ValueError(f"cell {(i, j)} not strictly below the diagonal")
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
 
     def ascii_grid(self) -> str:
         """Rows top to bottom are values n down to 1."""
@@ -233,11 +231,13 @@ def hit_numbers(board: Board) -> list[int]:
     return _hits_from_rooks(rook_route(board)[0], board.n)
 
 
-def hit_numbers_enumerate(board: Board, limit: int = ENUMERATION_CAP) -> list[int]:
+def hit_numbers_enumerate(board: Board) -> list[int]:
     """h_0..h_n by walking all of S_n; the oracle for the identity path."""
     n = board.n
-    if n > limit:
-        raise CapExceededError(f"hit-number enumeration capped at n <= {limit}")
+    if n > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"hit-number enumeration capped at n <= {ENUMERATION_CAP}"
+        )
     out = [0] * (n + 1)
     for omega in all_permutations(n):
         out[u_excedences(omega, board)] += 1
@@ -248,7 +248,7 @@ def hit_polynomial(board: Board) -> IntPolynomial:
     return IntPolynomial({s: h for s, h in enumerate(hit_numbers(board))})
 
 
-def hit_polynomial_permanent(board: Board, limit: int = 14) -> IntPolynomial:
+def hit_polynomial_permanent(board: Board) -> IntPolynomial:
     """Sum over S_n of x^(rooks on board), as a permanent.
 
     The matrix with x on board cells and 1 elsewhere has permanent
@@ -257,8 +257,8 @@ def hit_polynomial_permanent(board: Board, limit: int = 14) -> IntPolynomial:
     still being the same sum over all placements.
     """
     n = board.n
-    if n > limit:
-        raise CapExceededError(f"permanent path capped at n <= {limit}")
+    if n > PERMANENT_CAP:
+        raise CapExceededError(f"permanent path capped at n <= {PERMANENT_CAP}")
     row_masks = [0] * (n + 1)
     for i, j in board.cells:
         row_masks[i] |= 1 << (j - 1)

@@ -149,12 +149,10 @@ def brute_poly(n: int, query: DescentQuery, limit: int = DEFAULT_BRUTE_CAP) -> I
     return IntPolynomial(_match_counts(n, query))
 
 
-def brute_bivar(
-    n: int, tops: IntegerSet, bottoms: IntegerSet, limit: int = DEFAULT_BRUTE_CAP
-) -> BivarPolynomial:
+def brute_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomial:
     """Two-variable refinement: x tracks descents, y tracks how many of
     1..n are outside the bottoms set."""
-    _check_cap(n, limit)
+    _check_cap(n, DEFAULT_BRUTE_CAP)
     t = len(bottoms.complement_in(n))
     counts = _match_counts(n, DescentQuery(tops, bottoms))
     return BivarPolynomial({(s, t): c for s, c in counts.items()})

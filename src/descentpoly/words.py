@@ -1,11 +1,10 @@
 """Descent-pair polynomials for words (multiset permutations).
 
 A word class is given by a composition rho = (rho_1, ..., rho_m): the
-rearrangements of rho_1 copies of 1, ..., rho_m copies of m.  The
-alternating-sum formulas mirror the permutation ones, with the alpha/beta
-gap counts weighted by letter multiplicities and the per-letter factors
-turning from linear terms into binomial coefficients; both run on the
-kernel of ``closed_forms``.
+rearrangements of rho_1 copies of 1, ..., rho_m copies of m; S_n is the
+class rho = 1^n.  The alternating-sum formulas weight the alpha/beta gap
+counts by letter multiplicities, with per-letter factors C(r + o_x, rho_x)
+that are linear when rho_x = 1; both run on the kernel of ``closed_forms``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from operator import getitem
 from .closed_forms import ClosedForm
 from .perms import InputError
 from .polynomials import IntPolynomial, multinomial
-from .sets import ALL, IntegerSet
+from .sets import IntegerSet
 from .stats import CapExceededError, DescentQuery
 
 __all__ = [
@@ -36,7 +35,7 @@ DEFAULT_WORD_CAP = 10**6
 
 def _check_rho(rho) -> tuple[int, ...]:
     rho = tuple(rho)
-    if not rho or any(p < 0 for p in rho):
+    if any(p < 0 for p in rho):
         raise InputError(f"composition parts must be >= 0: {rho}")
     return rho
 
@@ -51,7 +50,8 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
 
     Knuth's Algorithm L (TAOCP 7.2.1.2) on one list: find the last ascent
     a[j] < a[j+1], swap a[j] with the last letter above it, and reverse
-    the tail after j.
+    the tail after j.  Distinct letters (every part <= 1) are already in
+    that order in ``itertools.permutations``.
     """
     rho = _check_rho(rho)
     if rearrangement_count(rho) > limit:
@@ -59,6 +59,9 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
             f"|R({rho})| = {rearrangement_count(rho)} exceeds the cap {limit}"
         )
     a = [v for v, part in enumerate(rho, start=1) for _ in range(part)]
+    if all(part <= 1 for part in rho):
+        yield from permutations(a)
+        return
     while True:
         yield tuple(a)
         j = len(a) - 2
@@ -73,21 +76,15 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
         a[j + 1:] = a[:j:-1]
 
 
-def word_brute_poly(
-    rho,
-    tops: IntegerSet,
-    bottoms: IntegerSet,
-    diffs: IntegerSet = ALL,
-    limit: int = DEFAULT_WORD_CAP,
-) -> IntPolynomial:
+def word_brute_poly(rho, tops: IntegerSet, bottoms: IntegerSet) -> IntPolynomial:
     """Sum over R(rho) of x^(number of matching descents).
 
     The query is asked once per letter pair a > b, into a table; every word
     is then counted from the table.
     """
-    table = DescentQuery(tops, bottoms, diffs).match_table(len(_check_rho(rho)))
+    table = DescentQuery(tops, bottoms).match_table(len(_check_rho(rho)))
     counts: dict[int, int] = {}
-    for w in enumerate_rearrangements(rho, limit):
+    for w in enumerate_rearrangements(rho):
         s = sum(map(getitem, map(table.__getitem__, w), w[1:]))
         counts[s] = counts.get(s, 0) + 1
     return IntPolynomial(counts)
@@ -97,7 +94,7 @@ def word_form(
     rho, tops: IntegerSet, bottoms: IntegerSet, second: bool = False
 ) -> ClosedForm:
     """The word analogue of closed_forms.permutation_form."""
-    return ClosedForm.from_sets(_check_rho(rho), tops, bottoms, second, linear=False)
+    return ClosedForm.from_sets(_check_rho(rho), tops, bottoms, second)
 
 
 def word_formula_1(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
