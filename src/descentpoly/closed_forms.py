@@ -92,11 +92,8 @@ class ClosedForm:
         return self.c + self.top_mass
 
     def weight(self, r: int) -> int:
-        """C(c + r, r) · Π_x C(r + o_x, ρ_x).  C(u, 1) = u is read inline: a
-        negative upper index only follows a zero factor, since formula-1
-        offsets are >= ρ_x and formula-2 offsets start >= 0 and fall by at
-        most ρ_x from one top to the next."""
-        factors = prod(r + o if p == 1 else binom(r + o, p) for p, o in self.offsets)
+        """C(c + r, r) · Π_x C(r + o_x, ρ_x)."""
+        factors = prod(binom(r + o, p) for p, o in self.offsets)
         return binom(self.c + r, r) * factors
 
     def _degree(self, s: int) -> int:

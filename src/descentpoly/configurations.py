@@ -32,7 +32,7 @@ from .perms import InputError, check_size
 from .polynomials import binom
 from .sets import IntegerSet
 from .stats import CapExceededError
-from .words import enumerate_rearrangements, word_form
+from .words import _check_rho, enumerate_rearrangements, word_form
 
 __all__ = [
     "Flavor",
@@ -325,7 +325,7 @@ def _composition(n: int | None, rho) -> tuple[int, ...]:
     """The word class to walk: rho, or 1^n for S_n."""
     if (n is None) == (rho is None):
         raise ValueError("pass exactly one of n and rho")
-    return (1,) * check_size(n) if rho is None else tuple(rho)
+    return (1,) * check_size(n) if rho is None else _check_rho(rho)
 
 
 def enumerate_configs(

@@ -50,8 +50,7 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
 
     Knuth's Algorithm L (TAOCP 7.2.1.2) on one list: find the last ascent
     a[j] < a[j+1], swap a[j] with the last letter above it, and reverse
-    the tail after j.  Distinct letters (every part <= 1) are already in
-    that order in ``itertools.permutations``.
+    the tail after j.
     """
     rho = _check_rho(rho)
     if rearrangement_count(rho) > limit:
@@ -59,9 +58,6 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
             f"|R({rho})| = {rearrangement_count(rho)} exceeds the cap {limit}"
         )
     a = [v for v, part in enumerate(rho, start=1) for _ in range(part)]
-    if all(part <= 1 for part in rho):
-        yield from permutations(a)
-        return
     while True:
         yield tuple(a)
         j = len(a) - 2

@@ -3,11 +3,12 @@ configurations read permutations through the word routes, zero parts and
 the empty composition included, and every cap keeps its message."""
 
 import random
+from itertools import permutations
 from math import comb, prod
 
 import pytest
 
-from descentpoly.closed_forms import ClosedForm, permutation_form
+from descentpoly.closed_forms import permutation_form
 from descentpoly.configurations import Flavor, enumerate_configs, staged_count
 from descentpoly.perms import InputError
 from descentpoly.polynomials import IntPolynomial
@@ -74,9 +75,9 @@ def _check_weights(form):
 def test_permutation_form_is_the_word_form_of_ones(second):
     for n, tops, bottoms in GRID:
         ones = (1,) * n
-        form = permutation_form(n, tops, bottoms, second)
-        assert form == ClosedForm.from_sets(ones, tops, bottoms, second)
-        assert form == word_form(ones, tops, bottoms, second)
+        assert permutation_form(n, tops, bottoms, second) == word_form(
+            ones, tops, bottoms, second
+        )
 
 
 @pytest.mark.parametrize("second", [False, True])
@@ -124,22 +125,26 @@ def _random_sets(rng, n):
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
-def test_configurations_of_s_n_are_those_of_the_ones_class(flavor):
+def test_configurations_of_s_n_walk_permutations_in_lexicographic_order(flavor):
+    """The S_k walk is Algorithm L on 1^k: the sequences that ``configs
+    --list`` prints are permutations of 1..k, in lexicographic order."""
     rng = random.Random(2006)
     for k in range(5):
+        letters = set(permutations(range(1, k + 1)))
         for tops, bottoms in [(ALL, ALL)] + [_random_sets(rng, k) for _ in range(3)]:
             for s in range(k + 2):
                 for r in range(3):
                     args = (flavor, s, r, tops, bottoms)
-                    perms = enumerate_configs(*args, n=k)
-                    assert perms == enumerate_configs(*args, rho=(1,) * k)
-                    staged = staged_count(*args, n=k)
-                    assert staged == staged_count(*args, rho=(1,) * k)
-                    assert staged == len(perms)
+                    seqs = [c.sequence for c in enumerate_configs(*args, n=k)]
+                    assert seqs == sorted(seqs)
+                    assert set(seqs) <= letters
+                    assert staged_count(*args, n=k) == len(seqs)
 
 
 @pytest.mark.parametrize("flavor", list(Flavor))
 def test_word_configurations_count_top_letters_with_multiplicity(flavor):
+    """OVERLINE places (top letters) - s - r '-'s, so a repeated top letter
+    counts once per copy."""
     rng = random.Random(606)
     for rho in [(2, 1), (1, 2), (2, 0, 2), (0, 3, 1), (2, 2, 1)]:
         for tops, bottoms in [(ALL, ALL)] + [_random_sets(rng, len(rho)) for _ in range(3)]:
@@ -157,6 +162,17 @@ def test_negative_sizes_are_input_errors():
         staged_count(Flavor.OVERLINE, 0, 0, ALL, ALL, n=-1)
     with pytest.raises(InputError):
         Board(-2, frozenset())
+
+
+def test_negative_parts_are_input_errors_for_every_s_and_r():
+    for flavor in Flavor:
+        for s in range(-1, 4):
+            for r in range(-1, 3):
+                args = (flavor, s, r, ALL, ALL)
+                with pytest.raises(InputError):
+                    enumerate_configs(*args, rho=(-1, 3))
+                with pytest.raises(InputError):
+                    staged_count(*args, rho=(-1, 3))
 
 
 def test_the_empty_composition_is_the_class_of_the_empty_word():
