@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .perms import InputError, check_size
 from .polynomials import binom
@@ -74,6 +74,9 @@ class Configuration:
     `required_mask` is set when the flavor's rules ask gap g for a '+'.  An
     array with a '-' that does not open its gap has no sign layout: it keeps
     its items, its `minus_mask` is None, and `involution` rejects it.
+    Letters must be positive integers (InputError otherwise); whether they
+    belong to the class, 1..n for S_n, is the caller's check, as in the
+    CLI's `configs --trace`.
 
     Equality and hashing follow the encoding.  Treat instances as frozen:
     the only slot written after construction is the cache behind `items`.
@@ -93,6 +96,8 @@ class Configuration:
     def __init__(self, items, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet):
         items = tuple(items)
         seq = tuple(it for it in items if isinstance(it, int))
+        if seq and min(seq) < 1:
+            raise InputError(f"bad letter {min(seq)!r} in configuration")
         plus = [0] * (len(seq) + 1)
         minus_mask = 0
         gap = 0
@@ -193,21 +198,41 @@ def _layout_config(seq, minus_mask, plus_by_gap, required_mask, flavor, tops, bo
 
 def _legal(config: Configuration) -> bool:
     """Every '-' opens its gap and every required gap holds a '+'."""
-    if config.minus_mask is None:
-        return False
-    plus = config.plus_by_gap
-    required = config.required_mask
-    gap = 0
-    while required:
-        if required & 1 and not plus[gap]:
-            return False
-        required >>= 1
-        gap += 1
-    return True
+    return (
+        config.minus_mask is not None
+        and _flip(config.minus_mask, config.plus_by_gap, config.required_mask)
+        is not None
+    )
 
 
 def _conditions_hold(items, flavor: Flavor, tops, bottoms) -> bool:
     return _legal(Configuration(items, flavor, tops, bottoms))
+
+
+@lru_cache(maxsize=1 << 16)
+def _flip(minus_mask: int, plus_by_gap: tuple, required_mask: int):
+    """The involution on a sign layout: None when a required gap lacks a
+    '+', () at a fixed point, otherwise the flipped (minus_mask, plus_by_gap).
+
+    Legality and the image depend on the layout alone, not on the letters,
+    the flavor or the sets, so the same layouts recur across every sequence
+    that shares a required mask; the memo is bounded like `_required_mask`.
+    """
+    for gap, count in enumerate(plus_by_gap):
+        if not count and required_mask >> gap & 1:
+            return None
+    for gap, count in enumerate(plus_by_gap):
+        bit = 1 << gap
+        if minus_mask & bit:
+            count += 1
+        elif count > 1 or (count and not required_mask & bit):
+            count -= 1
+        else:
+            continue
+        flipped = list(plus_by_gap)
+        flipped[gap] = count
+        return minus_mask ^ bit, tuple(flipped)
+    return ()
 
 
 def involution(config: Configuration) -> Configuration:
@@ -219,33 +244,19 @@ def involution(config: Configuration) -> Configuration:
     second '-' in a gap would trail a sign) and its gap either is not a
     required-plus gap or holds another '+'.  On the layout, the first
     flippable sign is the first sign of the first gap that opens with a
-    '-', or holds two '+'s, or holds a '+' without being required.
+    '-', or holds two '+'s, or holds a '+' without being required; `_flip`
+    finds it from the layout alone.
     """
-    if not _legal(config):
-        raise MalformedConfigurationError(str(config))
     minus = config.minus_mask
     required = config.required_mask
-    plus = config.plus_by_gap
-    for gap, count in enumerate(plus):
-        bit = 1 << gap
-        if minus & bit:
-            count += 1
-        elif count > 1 or (count and not required & bit):
-            count -= 1
-        else:
-            continue
-        flipped = list(plus)
-        flipped[gap] = count
-        return _layout_config(
-            config.sequence,
-            minus ^ bit,
-            tuple(flipped),
-            required,
-            config.flavor,
-            config.tops,
-            config.bottoms,
-        )
-    return config
+    image = None if minus is None else _flip(minus, config.plus_by_gap, required)
+    if image is None:
+        raise MalformedConfigurationError(str(config))
+    if not image:
+        return config
+    return _layout_config(
+        config.sequence, *image, required, config.flavor, config.tops, config.bottoms
+    )
 
 
 def _sign_layouts(n_gaps: int, n_plus: int, n_minus: int, required_mask: int):
@@ -346,30 +357,34 @@ def enumerate_configs(
     or must hold a '+'.  Sequences with the same required-plus gaps share
     one list of sign layouts.
     """
+    return list(
+        chain.from_iterable(_configs_by_sequence(flavor, s, r, tops, bottoms, n, rho))
+    )
+
+
+def _configs_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
+    """`enumerate_configs` one sequence at a time: yields each sequence's
+    configurations as a list, in the same order, so a caller that walks a
+    class holds one sequence's configurations instead of the whole class."""
     rho = _composition(n, rho)
     length = sum(rho)
     if length > CONFIG_CAP:
         raise CapExceededError(f"configuration enumeration capped at n <= {CONFIG_CAP}")
-    seqs = enumerate_rearrangements(rho)
     top_letters = sum(part for x, part in enumerate(rho, 1) if x in tops)
     n_minus = _minus_count(flavor, top_letters, s, r)
     if n_minus < 0 or r < 0:
-        return []
+        return
     layouts_by_required = {}
-    out = []
-    for seq in seqs:
+    for seq in enumerate_rearrangements(rho):
         required = _required_mask(seq, flavor, tops, bottoms)
         layouts = layouts_by_required.get(required)
         if layouts is None:
             layouts = _sign_layouts(length + 1, r, n_minus, required)
             layouts_by_required[required] = layouts
-        out.extend(
-            [
-                _layout_config(seq, minus, plus, required, flavor, tops, bottoms)
-                for minus, plus in layouts
-            ]
-        )
-    return out
+        yield [
+            _layout_config(seq, minus, plus, required, flavor, tops, bottoms)
+            for minus, plus in layouts
+        ]
 
 
 def fixed_point_from_seq(seq, flavor: Flavor, tops, bottoms) -> Configuration:
@@ -426,8 +441,11 @@ def config_to_str(config: Configuration) -> str:
 def config_from_str(
     text: str, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet
 ) -> Configuration:
-    """Inverse of config_to_str: digits are single letters unless the string
-    contains commas, in which case runs of digits are whole letters."""
+    """Inverse of config_to_str: digits 0-9 are single letters unless the
+    string contains commas, in which case runs of digits are whole letters
+    and each comma sits between two of them.  A letter 0, an empty field or
+    any other character raises InputError; whether the letters form a
+    sequence of the class (1..n for S_n) is the caller's check."""
     wide = "," in text
     items: list = []
     num = ""
@@ -438,12 +456,16 @@ def config_from_str(
             items.append(int(num))
             num = ""
 
-    for ch in text:
-        if ch.isdigit():
+    for i, ch in enumerate(text):
+        if "0" <= ch <= "9":
             num += ch
             if not wide:
                 flush()
         elif ch == ",":
+            if not num or not "0" <= text[i + 1 : i + 2] <= "9":
+                raise InputError(
+                    f"empty letter next to ',' at {i} in configuration {text!r}"
+                )
             flush()
         elif ch in (PLUS, MINUS):
             flush()

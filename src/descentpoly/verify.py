@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, permutations, product
 
 import numpy as np
 
@@ -140,27 +140,11 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
                 signed_total = 0
                 fixed_total = 0
                 for r in range(n + 2):
-                    configs = configurations.enumerate_configs(
+                    enumerated = 0
+                    walk = configurations._configs_by_sequence(
                         flavor, s, r, xset, yset, n=n
                     )
-                    staged = configurations.staged_count(
-                        flavor, s, r, xset, yset, n=n
-                    )
-                    if len(configs) != staged:
-                        raise VerificationError(
-                            "staged count disagrees with enumeration",
-                            {
-                                "flavor": flavor.value,
-                                "n": n,
-                                "s": s,
-                                "r": r,
-                                "tops": str(xset),
-                                "bottoms": str(yset),
-                                "enumerated": len(configs),
-                                "staged": staged,
-                            },
-                        )
-                    for c in configs:
+                    for c in chain.from_iterable(walk):
                         image = configurations.involution(c)
                         back = configurations.involution(image)
                         if back != c:
@@ -177,7 +161,25 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
                         else:
                             fixed_total += 1
                         signed_total += c.sign
-                        checked += 1
+                        enumerated += 1
+                    staged = configurations.staged_count(
+                        flavor, s, r, xset, yset, n=n
+                    )
+                    if enumerated != staged:
+                        raise VerificationError(
+                            "staged count disagrees with enumeration",
+                            {
+                                "flavor": flavor.value,
+                                "n": n,
+                                "s": s,
+                                "r": r,
+                                "tops": str(xset),
+                                "bottoms": str(yset),
+                                "enumerated": enumerated,
+                                "staged": staged,
+                            },
+                        )
+                    checked += enumerated
                 # everything cancels except the plus-signed fixed points
                 count = brute.coeff(s)
                 if signed_total != count:

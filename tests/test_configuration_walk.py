@@ -1,0 +1,134 @@
+"""Configurations walked one sequence at a time, and the letters a
+configuration may hold.
+
+`sweep_configs` checks the involution while it walks each class and checks
+the class's count after.  Its counts, its failure record, and the
+`configs --trace` records are pinned to what they were when the sweep
+still held each class as one list.
+"""
+
+import hashlib
+import json
+import re
+from itertools import product
+
+import pytest
+
+from descentpoly import configurations
+from descentpoly.cli import main
+from descentpoly.configurations import (
+    Configuration,
+    Flavor,
+    _configs_by_sequence,
+    config_from_str,
+    enumerate_configs,
+)
+from descentpoly.perms import InputError
+from descentpoly.sets import ALL, explicit_set
+from descentpoly.verify import VerificationError, sweep_configs
+
+
+@pytest.mark.parametrize("text", ["0+", "0,3+", "1,,2", ",1,2", "1,2,", "1,+2"])
+def test_letter_zero_and_empty_fields_are_rejected(text):
+    for flavor in Flavor:
+        with pytest.raises(InputError, match=re.escape(text) + "|bad letter 0"):
+            config_from_str(text, flavor, ALL, ALL)
+
+
+@pytest.mark.parametrize("text", ["1²", "1,2²"])
+def test_non_ascii_digits_are_bad_characters(text):
+    with pytest.raises(InputError, match="bad character '²'"):
+        config_from_str(text, Flavor.STANDARD, ALL, ALL)
+
+
+@pytest.mark.parametrize("letter", [0, -1])
+def test_constructor_rejects_letters_below_one(letter):
+    with pytest.raises(InputError, match=f"bad letter {letter}"):
+        Configuration((letter, "+", 2), Flavor.STANDARD, ALL, ALL)
+
+
+def test_wide_letters_still_parse():
+    c = config_from_str("11,3+2", Flavor.STANDARD, explicit_set([11]), explicit_set([2]))
+    assert c.sequence == (11, 3, 2)
+    assert str(c) == "11,3+2"
+
+
+def test_walk_yields_each_sequence_once_in_order():
+    tops, bottoms = explicit_set([2, 3]), explicit_set([1, 3])
+    for flavor in Flavor:
+        for s in range(-1, 6):
+            for r in range(-1, 6):
+                for n, rho in [(4, None), (None, (2, 1, 2))]:
+                    args = (flavor, s, r, tops, bottoms)
+                    walk = list(_configs_by_sequence(*args, n, rho))
+                    seqs = [configs[0].sequence for configs in walk if configs]
+                    assert seqs == sorted(set(seqs))
+                    for configs in walk:
+                        assert len({c.sequence for c in configs}) <= 1
+                    flat = [c for configs in walk for c in configs]
+                    assert flat == enumerate_configs(*args, n=n, rho=rho)
+
+
+# sweep_configs(max_n, pairs, seed) as returned while each class was one list
+SWEEP_COUNTS = {(3, 20, 3): 12464, (4, 6, 2): 55978, (5, 4, 1): 97568}
+
+
+@pytest.mark.parametrize("args", sorted(SWEEP_COUNTS))
+def test_sweep_counts_unchanged(args):
+    assert sweep_configs(*args) == SWEEP_COUNTS[args]
+
+
+def test_broken_involution_reports_the_same_failure(monkeypatch):
+    honest = configurations.involution
+
+    def one_way(config):
+        # '-'-signed configurations of four letters or more with at least
+        # two '+'s stay put, so the first one found is not mapped back
+        stuck = len(config.sequence) >= 4 and config.sign == -1 and config.plus_count >= 2
+        return config if stuck else honest(config)
+
+    monkeypatch.setattr(configurations, "involution", one_way)
+    with pytest.raises(VerificationError) as err:
+        sweep_configs(5, pairs=4, seed=1)
+    assert str(err.value) == "involution is not self-inverse"
+    assert err.value.payload == {"configuration": "-1-234+", "image": "+1-234+"}
+
+
+# (x, y) of the traced classes of S_3; every s and r of 0 and 1
+TRACE_SETS = [("{2,3}", "{1}"), ("{1,3}", "{2,3}")]
+# sha256 of `trace_records` and the number of records it joins
+TRACE_DIGEST = "ef9349a0108c52488d9f8803a533be2f5a0d2def032717e4548db1416cba298a"
+TRACE_RECORDS = 616
+
+
+def trace_records(run):
+    """`configs --list` on each traced class, then `configs --trace` on every
+    configuration it lists: the records (exit code, stdout, stderr) with
+    their elapsed time blanked, as one text, and their number.
+    ``run(argv)`` returns the exit code, stdout and stderr of one CLI call."""
+    records = []
+    flavors = ("standard", "overline")
+    for (x, y), flavor, s, r in product(TRACE_SETS, flavors, range(5), (0, 1)):
+        base = ["configs", "--n", "3", "--s", str(s), "--r", str(r), "--x", x, "--y", y,
+                "--flavor", flavor]
+        listed = run(base + ["--list"])
+        records.append(listed)
+        for text in json.loads(listed[1])["result"]["configurations"]:
+            records.append(run(base + ["--trace", text]))
+    elapsed = re.compile(r'"elapsed_ms": [0-9.e-]+')
+    text = "".join(
+        f"{code}\n" + elapsed.sub('"elapsed_ms": 0', out) + err
+        for code, out, err in records
+    )
+    return text, len(records)
+
+
+def test_trace_records_unchanged(capsys):
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    text, count = trace_records(run)
+    assert count == TRACE_RECORDS
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_DIGEST

@@ -1,0 +1,126 @@
+"""The memoised flip on sign layouts against the loops it replaced.
+
+`_flip(minus_mask, plus_by_gap, required_mask)` decides legality and the
+involution's image from the layout alone.  The oracle below is the
+legality loop and the involution loop as they read before the memo, run on
+the bare layout.
+"""
+
+from itertools import product
+
+import pytest
+
+from descentpoly.configurations import (
+    Configuration,
+    Flavor,
+    MalformedConfigurationError,
+    _flip,
+    _legal,
+    config_from_str,
+    enumerate_configs,
+    fixed_point_from_seq,
+    involution,
+)
+from descentpoly.sets import explicit_set
+
+MAX_GAPS = 6
+MAX_PLUS = 4
+
+
+def _oracle(minus_mask, plus_by_gap, required_mask):
+    """None when a required gap lacks a '+', () at a fixed point, else the
+    flipped layout: the first sign of the first gap that opens with a '-',
+    holds two '+'s, or holds a '+' without being required."""
+    required = required_mask
+    gap = 0
+    while required:
+        if required & 1 and not plus_by_gap[gap]:
+            return None
+        required >>= 1
+        gap += 1
+    for gap, count in enumerate(plus_by_gap):
+        bit = 1 << gap
+        if minus_mask & bit:
+            count += 1
+        elif count > 1 or (count and not required_mask & bit):
+            count -= 1
+        else:
+            continue
+        flipped = list(plus_by_gap)
+        flipped[gap] = count
+        return minus_mask ^ bit, tuple(flipped)
+    return ()
+
+
+def _plus_layouts(gaps):
+    return [p for p in product(range(MAX_PLUS + 1), repeat=gaps) if sum(p) <= MAX_PLUS]
+
+
+@pytest.mark.parametrize("gaps", range(1, MAX_GAPS + 1))
+def test_flip_matches_oracle_on_every_layout(gaps):
+    masks = range(1 << gaps)
+    checked = illegal = 0
+    for plus in _plus_layouts(gaps):
+        for required in masks:
+            for minus in masks:
+                expected = _oracle(minus, plus, required)
+                assert _flip(minus, plus, required) == expected, (minus, plus, required)
+                checked += 1
+                illegal += expected is None
+    assert checked > illegal > 0
+
+
+TOPS = explicit_set([2, 3, 5, 6])
+BOTTOMS = explicit_set([1, 3])
+
+
+def test_illegal_configuration_raises_after_legal_neighbours_fill_the_memo():
+    def config(*items):
+        return Configuration(items, Flavor.STANDARD, TOPS, BOTTOMS)
+
+    legal = config("-", 5, "+", 2, 4, 6, "+", 1, 3)
+    # the same letters without the '+' that the matching descent (6, 1) needs
+    missing_plus = config("-", 5, "+", 2, 4, 6, 1, 3)
+    # a '-' after a '+' has no layout, whatever its '+'s are
+    stray_minus = config(5, "+", "-", 2, 4, 6, "+", 1, 3)
+    for c in enumerate_configs(Flavor.STANDARD, 2, 2, TOPS, BOTTOMS, rho=(1,) * 6):
+        involution(involution(c))
+    involution(legal)
+    assert stray_minus.plus_by_gap == legal.plus_by_gap
+    assert _flip(0, legal.plus_by_gap, legal.required_mask) is not None
+    for c in (missing_plus, stray_minus):
+        assert not _legal(c)
+        with pytest.raises(MalformedConfigurationError):
+            involution(c)
+        with pytest.raises(MalformedConfigurationError):
+            config_from_str(str(c), Flavor.STANDARD, TOPS, BOTTOMS)
+
+
+def test_legal_is_flip_not_none():
+    legal = illegal = 0
+    for flavor in Flavor:
+        for s in range(5):
+            for r in range(5):
+                for c in enumerate_configs(flavor, s, r, TOPS, BOTTOMS, n=3):
+                    # the same letters and '-'s with every '+' taken out
+                    bare = Configuration(
+                        [it for it in c.items if it != "+"], flavor, TOPS, BOTTOMS
+                    )
+                    for d in (c, bare):
+                        flipped = _flip(d.minus_mask, d.plus_by_gap, d.required_mask)
+                        assert _legal(d) == (flipped is not None)
+                        legal += _legal(d)
+                        illegal += not _legal(d)
+    assert legal > 0 and illegal > 0
+
+
+def test_fixed_point_maps_to_the_same_object():
+    for flavor in Flavor:
+        for seq in [(3, 1, 2), (2, 3, 1), (5, 2, 4, 6, 1, 3)]:
+            fp = fixed_point_from_seq(seq, flavor, TOPS, BOTTOMS)
+            assert involution(fp) is fp
+
+
+def test_memo_is_bounded():
+    assert _flip.cache_info().maxsize is not None
+    assert _flip.cache_info().maxsize > 0
