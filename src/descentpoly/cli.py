@@ -13,6 +13,7 @@ not caught.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -35,7 +36,7 @@ class UsageError(Exception):
 
 
 def _poly_payload(poly: IntPolynomial) -> dict:
-    return {str(e): str(c) for e, c in sorted(poly.items())}
+    return {str(e): str(c) for e, c in poly.items()}
 
 
 def _emit(record: dict, fmt: str):
@@ -169,7 +170,7 @@ def cmd_qpoly(args, inputs: dict) -> dict:
     tops = parse_set(args.x)
     inputs.update(n=args.n, x=str(tops))
     poly = stats.q_recursion(args.n, tops)
-    payload = {f"{eq},{ex}": str(c) for (eq, ex), c in sorted(poly.items())}
+    payload = {f"{eq},{ex}": str(c) for (eq, ex), c in poly.items()}
     return {"coefficients_q_x": payload}
 
 
@@ -195,7 +196,9 @@ def _size(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="descentpoly",
         description="Exact descent-pair-counting polynomials for permutations "

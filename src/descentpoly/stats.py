@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, permutations
-from operator import add, sub
+from itertools import accumulate, chain, count, permutations, repeat
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -159,117 +159,98 @@ def brute_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomia
 
 
 def recursion_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomial:
-    """Insertion recursion for the two-variable polynomial, keys (s, t).
+    """Insertion recursion, push form, keys (s, t).
 
-    Builds permutations by inserting 1, 2, ..., n in turn.  Inserting m+1
-    when m+1 is not a potential top either destroys one of the s matching
-    descents or leaves the count alone; when m+1 is a potential top it
-    preserves the count in s + t + 1 slots and creates a descent in the
-    remaining m - s - t slots.  A factor y is picked up whenever m+1 is
-    not a potential bottom.
+    Inserts 1, 2, ..., n in turn; c[s] counts the arrangements of 1..m with
+    s matching descents and pushes them into the new c[s] and a neighbour.
+    If m+1 is a potential top it keeps the count in s + t + 1 slots and
+    makes a descent in the other m - s - t; otherwise it destroys one of
+    the s descents or keeps the count in m + 1 - s slots.  t counts the
+    non-bottoms among 1..m, so every key has the same y exponent,
+    t = len(bottoms.complement_in(n)).
     """
-    poly = BivarPolynomial.constant(1)
+    c = [1]
+    t = 0
     for m in range(check_size(n)):
-        new: dict[tuple[int, int], int] = {}
-
-        def add(key, v):
-            if v:
-                new[key] = new.get(key, 0) + v
-
-        in_tops = (m + 1) in tops
-        for (s, t), c in poly.items():
-            if in_tops:
-                add((s, t), c * (s + t + 1))
-                add((s + 1, t), c * (m - s - t))
-            else:
-                if s > 0:
-                    add((s - 1, t), c * s)
-                add((s, t), c * (m + 1 - s))
-        poly = BivarPolynomial(new)
-        if (m + 1) not in bottoms:
-            poly = poly.shift(0, 1)
-    return poly
+        if (m + 1) in tops:
+            keep = map(mul, c, range(t + 1, t + 1 + len(c)))
+            make = map(mul, c, range(m - t, m - t - len(c), -1))
+            c = list(map(add, chain(keep, [0]), chain([0], make)))
+        else:
+            destroy = map(mul, c[1:], count(1))
+            keep = map(mul, c, range(m + 1, m + 1 - len(c), -1))
+            c = list(map(add, keep, chain(destroy, [0])))
+        while len(c) > 1 and not c[-1]:
+            c.pop()
+        t += (m + 1) not in bottoms
+    return BivarPolynomial({(s, t): v for s, v in enumerate(c)})
 
 
 def coefficient_recursion_bivar(
     n: int, tops: IntegerSet, bottoms: IntegerSet
 ) -> BivarPolynomial:
-    """Same polynomial via the four-case update on raw coefficients.
+    """The same polynomial, gather form: each new coefficient reads old[s]
+    and old[s-1] if m+1 is a potential top, else old[s+1] and old[s].
+    Every key has the same y exponent, t = len(bottoms.complement_in(n)).
 
     Redundant with recursion_bivar on purpose: the two formulations are
     cross-checked against each other in the tests.
     """
-    coeffs = {(0, 0): 1}
-    t = 0  # every key after m steps has t = #non-bottoms in 1..m
+    old = [1]
+    t = 0  # non-bottoms among 1..m
     for m in range(check_size(n)):
-        in_tops = (m + 1) in tops
-        in_bottoms = (m + 1) in bottoms
-        t += not in_bottoms
-        new: dict[tuple[int, int], int] = {}
-        max_s = max(s for s, _ in coeffs) + 1
-        for s in range(max_s + 1):
-            def old(si, ti):
-                return coeffs.get((si, ti), 0)
-
-            if not in_tops and not in_bottoms:
-                v = (s + 1) * old(s + 1, t - 1) + (m + 1 - s) * old(s, t - 1)
-            elif not in_tops and in_bottoms:
-                v = (s + 1) * old(s + 1, t) + (m + 1 - s) * old(s, t)
-            elif in_tops and not in_bottoms:
-                v = (s + t) * old(s, t - 1) + (m + 2 - s - t) * old(s - 1, t - 1)
-            else:
-                v = (s + t + 1) * old(s, t) + (m + 1 - s - t) * old(s - 1, t)
-            if v:
-                new[(s, t)] = v
-        coeffs = new
-    return BivarPolynomial(coeffs)
+        at = [0, *old, 0]  # at[s + 1] = old[s], zero outside
+        if (m + 1) in tops:
+            new = [(s + t + 1) * at[s + 1] + (m + 1 - s - t) * at[s]
+                   for s in range(len(old) + 1)]
+        else:
+            new = [(s + 1) * at[s + 2] + (m + 1 - s) * at[s + 1]
+                   for s in range(len(old))]
+        while len(new) > 1 and not new[-1]:
+            new.pop()
+        old = new
+        t += (m + 1) not in bottoms
+    return BivarPolynomial({(s, t): v for s, v in enumerate(old)})
 
 
-def _times_q_int(c: list[int], a: int, k: int) -> list[int]:
-    """Dense q-coefficients of q^a [k]_q c, where [k]_q = 1 + q + ... + q^(k-1).
-
-    With P the prefix sums of c, coefficient j of [k]_q c is
-    P[j+1] - P[j+1-k] (P clamped at both ends), so the product costs O(deg).
-    """
-    p = list(accumulate(c, initial=0))
-    upper = p[1:] + [p[-1]] * (k - 1)
-    lower = [0] * (k - 1) + p[:-1]
-    return [0] * a + list(map(sub, upper, lower))
-
-
-def _add_dense(u: list[int], v: list[int]) -> list[int]:
-    if len(u) < len(v):
-        u, v = v, u
-    return list(map(add, u, v)) + u[len(v):]
+def _q_step(pa: list[int], pb: list[int], s: int, m: int) -> list[int]:
+    """Dense q-coefficients of new = [s+1]_q·a + q^s·[m+1-s]_q·b, given the
+    prefix sums pa, pb of a, b.  As (1 - q)·[k]_q = 1 - q^k, new is the
+    prefix sum of (1 - q^(s+1))·a + (q^s - q^(m+1))·b: by linearity, four
+    shifted copies of pa and pb, each held at its total past its end."""
+    size = max(len(pa) + s, len(pb) + m)
+    ta, tb = pa[-1] if pa else 0, pb[-1] if pb else 0
+    plus = map(add, chain(pa, repeat(ta, size - len(pa))),
+               chain(repeat(0, s), pb, repeat(tb)))
+    minus = map(add, chain(repeat(0, s + 1), pa, repeat(ta)),
+                chain(repeat(0, m + 1), pb, repeat(tb)))
+    new = list(map(sub, plus, minus))
+    while new and not new[-1]:
+        new.pop()
+    return new
 
 
 def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
     """q-refined insertion recursion, keys (q-exponent, x-exponent).
 
+    c[s] is the coefficient of x^s as a dense list of q-coefficients.  If
+    m+1 is a potential top the new x^s comes from c[s] and c[s-1], else
+    from c[s+1] and c[s], by _q_step on prefix sums taken once per step.
+
     Specializing q = 1 collapses every q-integer to its length and recovers
     the single-variable descent polynomial for the given tops set.
     """
-    # coefficient of x^s as a dense list of q-coefficients
-    by_s: dict[int, list[int]] = {0: [1]}
+    c = [[1]]
     for m in range(check_size(n)):
-        new: dict[int, list[int]] = {}
-
-        def add_term(s, c, a, k):
-            if k > 0:
-                p = _times_q_int(c, a, k)
-                new[s] = _add_dense(new[s], p) if s in new else p
-
-        in_tops = (m + 1) in tops
-        for s, c in by_s.items():
-            if in_tops:
-                add_term(s, c, 0, s + 1)
-                add_term(s + 1, c, s + 1, m - s)
-            else:
-                add_term(s - 1, c, 0, s)
-                add_term(s, c, s, m + 1 - s)
-        by_s = new
+        sums = [[], *(list(accumulate(p)) for p in c), []]  # sums[s + 1] for c[s]
+        if (m + 1) in tops:
+            c = [_q_step(sums[s + 1], sums[s], s, m) for s in range(len(c) + 1)]
+        else:
+            c = [_q_step(sums[s + 2], sums[s + 1], s, m) for s in range(len(c))]
+        while len(c) > 1 and not c[-1]:
+            c.pop()
     return BivarPolynomial(
-        {(eq, s): v for s, p in by_s.items() for eq, v in enumerate(p) if v}
+        {(eq, s): v for s, p in enumerate(c) for eq, v in enumerate(p)}
     )
 
 
