@@ -189,7 +189,7 @@ def cmd_verify(args, inputs: dict) -> dict:
 
 
 def _size(text: str) -> int:
-    """argparse type for --n, --max and --max-n: a non-negative integer."""
+    """argparse type for --n, --max, --max-n and --max-brute: an integer >= 0."""
     try:
         return check_size(parse_int(text, "n"))
     except InputError as err:
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and words, with cross-verified formulas.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--max-brute", type=int, default=stats.DEFAULT_BRUTE_CAP)
+    parser.add_argument("--max-brute", type=_size, default=stats.DEFAULT_BRUTE_CAP)
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -6,6 +6,9 @@ by below-counts (the beta/beta form).  Both are coefficients of one
 generating function, read from the bottom and from the top degree.
 Product factors in the second may be zero or negative for individual
 terms; all arithmetic is exact so the cancellations are exact too.
+
+Kitaev and Remmel's sums are these forms at X = kℕ, Y = all (tops) or at
+X = all, Y = kℕ (bottoms), and the Eulerian sum is them at X = Y = all.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from dataclasses import dataclass
 from math import factorial, prod
 from operator import mul
 
-from .perms import check_size
+from .perms import InputError, check_size
 from .polynomials import IntPolynomial, binom, multinomial
-from .sets import ALL, IntegerSet
+from .sets import ALL, IntegerSet, residue_set
 
 __all__ = [
     "ClosedForm",
@@ -158,8 +161,9 @@ def formula_X_only_2(n: int, s: int, tops: IntegerSet) -> int:
 
 
 def eulerian_sum(n: int, s: int) -> int:
-    """Classical alternating sum for the Eulerian numbers: weights (1 + r)^n."""
-    return ClosedForm(0, 1, ((1, 1),) * check_size(n)).coefficient(s)
+    """Classical alternating sum for the Eulerian numbers, weights (1 + r)^n:
+    the alpha/beta form at X = Y = all."""
+    return formula_alpha_beta(n, s, ALL, ALL)
 
 
 def rectangle_product(m: int, u: int, v: int, s: int) -> int:
@@ -172,30 +176,22 @@ def rectangle_product(m: int, u: int, v: int, s: int) -> int:
     )
 
 
-def _kn_formulas(k: int, m: int, j: int, s: int, offsets1, offsets2):
-    """Both sums for m tops in S_(km+j), from the offsets o_x of each form."""
+def _multiples_of(k: int, m: int, j: int) -> tuple[int, IntegerSet]:
+    """n = km + j and the set kℕ, whose members in [1, n] are k, 2k, ..., mk."""
     if not 0 <= j <= k - 1:
-        raise ValueError("need 0 <= j <= k-1")
-    c = (k - 1) * m + j
-    return tuple(
-        ClosedForm(c, factorial(c), tuple((1, o) for o in offsets), second)
-        .coefficient(s)
-        for offsets, second in ((offsets1, False), (offsets2, True))
-    )
+        raise InputError("need 0 <= j <= k-1")
+    return k * m + j, residue_set(k, (0,))
 
 
 def kn_top_formulas(k: int, m: int, j: int, s: int) -> tuple[int, int]:
-    """Both alternating sums for tops = multiples of k, n = km+j."""
-    gaps = [(k - 1) * i for i in range(m + 1)]
-    return _kn_formulas(k, m, j, s, [1 + j + g for g in gaps[:-1]], gaps[1:])
+    """Both alternating sums for tops = multiples of k, n = km+j: the
+    general forms at X = kℕ, Y = all."""
+    n, mults = _multiples_of(k, m, j)
+    return formula_alpha_beta(n, s, mults, ALL), formula_beta_beta(n, s, mults, ALL)
 
 
 def kn_bottom_formulas(k: int, m: int, j: int, s: int) -> tuple[int, int]:
-    """Both alternating sums for bottoms = multiples of k, n = km+j.
-
-    Reduces to a tops-only count over the reversed-complement set
-    {1+j, 1+j+k, ..., 1+j+k(m-1)}.
-    """
-    gaps = [(k - 1) * i for i in range(m + 1)]
-    above, below = [1 + g for g in gaps[1:]], [j + g for g in gaps[:-1]]
-    return _kn_formulas(k, m, j, s, above, below)
+    """Both alternating sums for bottoms = multiples of k, n = km+j: the
+    general forms at X = all, Y = kℕ."""
+    n, mults = _multiples_of(k, m, j)
+    return formula_alpha_beta(n, s, ALL, mults), formula_beta_beta(n, s, ALL, mults)

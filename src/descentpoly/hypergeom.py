@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import prod
 
 from .closed_forms import formula_alpha_beta, formula_beta_beta
+from .perms import InputError
 from .polynomials import poch
 from .sets import ALL, IntegerSet, explicit_set
 
@@ -146,12 +147,11 @@ def _side(prefactor: int, spec: HypergeometricSpec) -> Fraction:
     return prefactor * eval_terminating(spec)
 
 
-def verify_balanced_identity(
+def _balanced_sides(
     profile: UVProfile, n: int, s: int
-) -> tuple[Fraction, Fraction, int]:
-    """Both balanced series of the transformation, plus the descent count
-    they equal.  Returns (left, right, P); callers assert all three agree.
-    """
+) -> tuple[Fraction, Fraction, IntegerSet]:
+    """Both balanced series of the transformation, and the tops set of the
+    profile's τ-word whose descent count they equal."""
     u, v, k = profile.u, profile.v, profile.k
     a = n - sum(v)
     left_pre = poch(s + 1, a) * prod(poch(s + u[i] + 1, v[i]) for i in range(k))
@@ -170,8 +170,17 @@ def verify_balanced_identity(
         denominator=(-n + s,) + tuple(-n + s + u[i] for i in range(k)),
     )
     _, members = tau_sequence(profile, n)
-    count = formula_alpha_beta(n, s, members, ALL)
-    return _side(left_pre, left_spec), _side(right_pre, right_spec), count
+    return _side(left_pre, left_spec), _side(right_pre, right_spec), members
+
+
+def verify_balanced_identity(
+    profile: UVProfile, n: int, s: int
+) -> tuple[Fraction, Fraction, int]:
+    """Both balanced series of the transformation, plus the descent count
+    they equal.  Returns (left, right, P); callers assert all three agree.
+    """
+    left, right, members = _balanced_sides(profile, n, s)
+    return left, right, formula_alpha_beta(n, s, members, ALL)
 
 
 def pfaff_saalschutz_lhs(n: int, a: int, b: int, c: int) -> Fraction:
@@ -189,19 +198,11 @@ def pfaff_saalschutz_rhs(n: int, a: int, b: int, c: int) -> Fraction:
 
 
 def verify_cor35(k: int, m: int, s: int) -> tuple[Fraction, Fraction, int]:
-    """The two sides of the mod-(k+1) specialization, plus the descent count
-    over X = {i : i mod (k+1) != 1} in S_{(k+1)m}."""
+    """The two sides of the mod-(k+1) specialization, k, m >= 1: the balanced
+    transformation at u = 0ᵏ, v = mᵏ, whose τ-word has the tops {i : i mod
+    (k+1) != 1} in S_{(k+1)m}.  The count comes from the beta/beta form."""
+    if k < 1 or m < 1:
+        raise InputError("need k >= 1 and m >= 1")
     n = (k + 1) * m
-    left_pre = poch(s + 1, m) ** (k + 1)
-    left_spec = HypergeometricSpec(
-        numerator=(-(n + 1),) + (-s,) * (k + 1),
-        denominator=(-(m + s),) * (k + 1),
-    )
-    right_pre = poch(k * m + 1 - s, m) ** (k + 1)
-    right_spec = HypergeometricSpec(
-        numerator=(-(n + 1),) + (-(k * m - s),) * (k + 1),
-        denominator=(-((k + 1) * m - s),) * (k + 1),
-    )
-    members = explicit_set(i for i in range(1, n + 1) if i % (k + 1) != 1)
-    count = formula_beta_beta(n, s, members, ALL)
-    return _side(left_pre, left_spec), _side(right_pre, right_spec), count
+    left, right, members = _balanced_sides(UVProfile((0,) * k, (m,) * k), n, s)
+    return left, right, formula_beta_beta(n, s, members, ALL)

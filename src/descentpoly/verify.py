@@ -126,13 +126,18 @@ def _random_subset(n: int, rng: random.Random):
     return explicit_set(i for i in range(1, n + 1) if rng.random() < 0.5)
 
 
+def _random_pairs(max_n: int, pairs: int, seed: int):
+    """``pairs`` seeded draws of (n, X, Y), 1 <= n <= max_n; none if max_n < 1."""
+    rng = random.Random(seed)
+    for _ in range(pairs if max_n >= 1 else 0):
+        n = rng.randint(1, max_n)
+        yield n, _random_subset(n, rng), _random_subset(n, rng)
+
+
 def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
     """Involution and counting checks on signed configurations."""
-    rng = random.Random(seed)
     checked = 0
-    for _ in range(pairs):
-        n = rng.randint(1, max_n)
-        xset, yset = _random_subset(n, rng), _random_subset(n, rng)
+    for n, xset, yset in _random_pairs(max_n, pairs, seed):
         query = DescentQuery(xset, yset)
         brute = stats.brute_poly(n, query)
         for flavor in configurations.Flavor:
@@ -233,11 +238,8 @@ def sweep_words(max_n: int) -> int:
 
 def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
     """Hit numbers against brute force, plus the distinct-rows reduction."""
-    rng = random.Random(seed)
     checked = 0
-    for _ in range(pairs):
-        n = rng.randint(1, max_n)
-        xset, yset = _random_subset(n, rng), _random_subset(n, rng)
+    for n, xset, yset in _random_pairs(max_n, pairs, seed):
         query = DescentQuery(xset, yset)
         brute = stats.brute_poly(n, query)
         hits = rook.hits_via_foata(n, query)

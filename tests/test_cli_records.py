@@ -225,6 +225,8 @@ CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y"
         (["verify", "--suite", "formulas", "--max-n", "-1"],
          "argument --max-n: n must be >= 0"),
         (["hypergeom", "--max", "-1"], "argument --max: n must be >= 0"),
+        (["--max-brute", "-1", "poly", "--n", "3", "--x", "all", "--y", "all",
+          "--method", "brute"], "argument --max-brute: n must be >= 0"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -233,6 +235,14 @@ def test_out_of_range_input_exits_2(capsys, argv, message):
     assert code == EXIT_USAGE
     assert out == ""
     assert message in err
+
+
+def test_verify_all_at_max_n_0_answers(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "0")
+    assert code == EXIT_OK
+    counts = json.loads(out)["result"]["cases_checked"]
+    del counts["hypergeom"]
+    assert counts == dict.fromkeys(("configs", "foata", "formulas", "rook", "words"), 0)
 
 
 def test_trace_on_the_class_letters_still_answers(capsys):

@@ -15,9 +15,11 @@ from descentpoly.closed_forms import (
     kn_top_formulas,
     rectangle_product,
 )
+from descentpoly.hypergeom import verify_cor35
+from descentpoly.perms import InputError
 from descentpoly.polynomials import binom
 from descentpoly.sets import ALL, EVENS, explicit_set
-from descentpoly.stats import DescentQuery, brute_poly
+from descentpoly.stats import DescentQuery, brute_poly, recursion_bivar
 
 X6 = explicit_set([2, 3, 4, 6, 7, 9])
 Y6 = explicit_set([1, 4, 8])
@@ -100,3 +102,49 @@ class TestProductForms:
                     assert f1 == f2 == top_brute.coeff(s)
                     g1, g2 = kn_bottom_formulas(k, m, j, s)
                     assert g1 == g2 == bottom_brute.coeff(s)
+
+
+class TestSpecialCasesPastTheCap:
+    """The special cases against the insertion recursion, an independent
+    route, at sizes brute force cannot reach."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_multiples_of_k_against_recursion(self, k):
+        m = 60 // k - 1
+        mults = explicit_set(k * i for i in range(1, m + 1))
+        for j in range(k):
+            n = k * m + j
+            top = recursion_bivar(n, mults, ALL).specialize_second(1)
+            bottom = recursion_bivar(n, ALL, mults).specialize_second(1)
+            for s in range(n + 2):
+                assert kn_top_formulas(k, m, j, s) == (top.coeff(s),) * 2
+                assert kn_bottom_formulas(k, m, j, s) == (bottom.coeff(s),) * 2
+
+    @pytest.mark.parametrize("n", [20, 40, 60])
+    def test_eulerian_against_recursion(self, n):
+        poly = recursion_bivar(n, ALL, ALL).specialize_second(1)
+        assert [eulerian_sum(n, s) for s in range(n + 2)] == [
+            poly.coeff(s) for s in range(n + 2)
+        ]
+
+
+OUT_OF_RANGE = [
+    (kn_top_formulas, (1, -1, 0, 0), "n must be >= 0, got -1"),
+    (kn_top_formulas, (3, -2, 0, 0), "n must be >= 0, got -6"),
+    (kn_bottom_formulas, (3, -2, 1, 0), "n must be >= 0, got -5"),
+    (kn_top_formulas, (3, 2, 3, 0), "need 0 <= j <= k-1"),
+    (kn_bottom_formulas, (3, 2, -1, 0), "need 0 <= j <= k-1"),
+    (kn_top_formulas, (0, 2, 0, 0), "need 0 <= j <= k-1"),
+    (verify_cor35, (0, 2, 0), "need k >= 1 and m >= 1"),
+    (verify_cor35, (2, 0, 0), "need k >= 1 and m >= 1"),
+    (verify_cor35, (-1, -1, 0), "need k >= 1 and m >= 1"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, message", OUT_OF_RANGE,
+    ids=[f"{fn.__name__}{args}" for fn, args, _ in OUT_OF_RANGE],
+)
+def test_special_cases_reject_out_of_range(fn, args, message):
+    with pytest.raises(InputError, match=message):
+        fn(*args)

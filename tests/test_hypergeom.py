@@ -15,7 +15,26 @@ from descentpoly.hypergeom import (
     verify_balanced_identity,
     verify_cor35,
 )
+from descentpoly.polynomials import poch
 from descentpoly.verify import sweep_hypergeom
+
+
+def cor35_as_printed(k, m, s):
+    """Both sides of the mod-(k+1) corollary written out for n = (k+1)m:
+    poch(s+1, m)^(k+1) and poch(km+1-s, m)^(k+1) times their series."""
+    n = (k + 1) * m
+    left = HypergeometricSpec(
+        numerator=(-(n + 1),) + (-s,) * (k + 1),
+        denominator=(-(m + s),) * (k + 1),
+    )
+    right = HypergeometricSpec(
+        numerator=(-(n + 1),) + (-(k * m - s),) * (k + 1),
+        denominator=(-((k + 1) * m - s),) * (k + 1),
+    )
+    return (
+        poch(s + 1, m) ** (k + 1) * eval_terminating(left),
+        poch(k * m + 1 - s, m) ** (k + 1) * eval_terminating(right),
+    )
 
 
 class TestEvaluation:
@@ -104,3 +123,11 @@ class TestBalancedIdentity:
 
     def test_sweep(self):
         assert sweep_hypergeom(3) > 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_mod_specialization_as_printed(self, k, m):
+        for s in range(k * m + 1):
+            left, right, count = verify_cor35(k, m, s)
+            assert (left, right) == cor35_as_printed(k, m, s)
+            assert left == count

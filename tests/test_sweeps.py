@@ -18,6 +18,11 @@ def test_single_suite():
     assert counts["formulas"] > 0
 
 
+@pytest.mark.parametrize("suite", ["configs", "rook"])
+def test_random_pair_suites_at_max_n_0_check_nothing(suite):
+    assert run_suite(suite, 0) == {suite: 0}
+
+
 def test_verification_error_payload():
     err = VerificationError("boom", {"n": 3})
     assert isinstance(err, AssertionError)
