@@ -31,10 +31,6 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _poly_payload(poly: IntPolynomial) -> dict:
     return {str(e): str(c) for e, c in poly.items()}
 
@@ -80,7 +76,7 @@ def _poly_by_method(args, query: DescentQuery) -> tuple[IntPolynomial, dict]:
     method = args.method
     has_z = not isinstance(query.diffs, type(ALL))
     if method in ("recursion", "formula1", "formula2") and has_z:
-        raise UsageError(f"method {method} does not support --z")
+        raise InputError(f"method {method} does not support --z")
     if method == "brute":
         return stats.brute_poly(args.n, query, limit=args.max_brute), {}
     if method == "recursion":
@@ -294,7 +290,7 @@ def main(argv=None) -> int:
     except verify.VerificationError as err:
         result = {"failure": err.payload, "message": str(err)}
         code = EXIT_VERIFY_FAILED
-    except (UsageError, InputError) as err:
+    except InputError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except CapExceededError as err:

@@ -86,11 +86,11 @@ class UVProfile:
 
     def __post_init__(self):
         if len(self.u) != len(self.v) or not self.u:
-            raise ValueError("u and v must be nonempty and equally long")
+            raise InputError("u and v must be nonempty and equally long")
         if any(x < 0 for x in self.u) or any(x < 1 for x in self.v):
-            raise ValueError("need u_i >= 0 and v_i >= 1")
+            raise InputError("need u_i >= 0 and v_i >= 1")
         if any(a > b for a, b in zip(self.u, self.u[1:])):
-            raise ValueError("u must be weakly increasing")
+            raise InputError("u must be weakly increasing")
 
     @property
     def k(self) -> int:
@@ -120,7 +120,7 @@ def tau_sequence(profile: UVProfile, n: int) -> tuple[str, IntegerSet]:
     a = n - sum(v).  The leading-pad size makes the total length exactly n.
     """
     if n < profile.min_n():
-        raise ValueError(f"need n >= {profile.min_n()} for this profile")
+        raise InputError(f"need n >= {profile.min_n()} for this profile")
     a = n - sum(profile.v)
     u1, big = profile.u[0], profile.M
     bits = "0" * (a - big)

@@ -8,7 +8,7 @@ positive integers; 0 is never a member.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 from .perms import InputError
@@ -56,16 +56,20 @@ class IntegerSet:
 
 @dataclass(frozen=True)
 class Explicit(IntegerSet):
+    """A finite set: ``members`` sorted, looked up in a frozenset."""
+
     members: tuple[int, ...]
+    _lookup: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(z < 1 for z in self.members):
             raise ValueError("set members must be positive integers")
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be sorted and distinct")
+        object.__setattr__(self, "_lookup", frozenset(self.members))
 
     def contains(self, z: int) -> bool:
-        return z in self.members
+        return z in self._lookup
 
     def __str__(self) -> str:
         return "{" + ",".join(str(z) for z in self.members) + "}"

@@ -5,18 +5,19 @@ the first disagreement and returns the number of cases checked otherwise.
 The brute-force side of the big sweeps is vectorized with numpy: descent
 pairs of each permutation (or word) are recorded once as a multiplicity
 matrix, then every (tops, bottoms) subset pair is a couple of matrix
-products away.
+products away.  The closed-form sweeps walk every class R(rho) one way,
+with ``words.enumerate_rearrangements``, S_n as rho = 1^n, so a class past
+its cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
 """
 
 from __future__ import annotations
 
 import random
-from functools import partial
 from itertools import chain, combinations_with_replacement, permutations, product
 
 import numpy as np
 
-from . import closed_forms, configurations, hypergeom, rook, stats, words
+from . import configurations, hypergeom, rook, stats, words
 from .sets import ALL, explicit_set
 from .stats import DescentQuery
 
@@ -77,21 +78,24 @@ def _brute_distributions(d: np.ndarray, m: int, xvec: np.ndarray, yvecs: np.ndar
 
 
 def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
-    """Both closed forms against brute force for each (head, seqs, m, form)
-    of ``classes``: the sequences over the letters 1..m, every (X, Y) pair
-    of subsets of [m], every s up to the sequence length.  ``form(X, Y,
-    second)`` builds a form; a failure reports ``head`` and the two values
-    under ``names``."""
+    """Both closed forms against brute force for each (head, rho) of
+    ``classes``: the class R(rho), walked by ``words.enumerate_rearrangements``
+    (so past its cap this raises CapExceededError), every (X, Y) pair of
+    subsets of the letters 1..len(rho), every s up to the word length.  Both
+    forms are ``words.word_form(rho, X, Y, second)``; a failure reports
+    ``head`` and the two values under ``names``."""
     checked = 0
-    for head, seqs, m, form in classes:
+    for head, rho in classes:
+        seqs = list(words.enumerate_rearrangements(rho))
+        m = len(rho)
         d = _pair_matrix(seqs, m)
         subsets = _subsets(m)
         yvecs = np.stack([vec for vec, _ in subsets])
         for xvec, xset in subsets:
             hist = _brute_distributions(d, m, xvec, yvecs)
             for yidx, (_, yset) in enumerate(subsets):
-                poly1 = form(xset, yset, False).polynomial()
-                poly2 = form(xset, yset, True).polynomial()
+                poly1 = words.word_form(rho, xset, yset, False).polynomial()
+                poly2 = words.word_form(rho, xset, yset, True).polynomial()
                 for s in range(len(seqs[0]) + 1):
                     brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
                     f1, f2 = poly1.coeff(s), poly2.coeff(s)
@@ -113,12 +117,12 @@ def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
 
 
 def sweep_formulas(max_n: int) -> int:
-    """Both closed formulas against brute force, all (X, Y) pairs, all s."""
+    """Both closed formulas against brute force, all (X, Y) pairs, all s:
+    S_n is the word class 1^n."""
     return _sweep_closed_forms(
         "closed formulas disagree with brute force",
         ("formula_alpha_beta", "formula_beta_beta"),
-        (({"n": n}, list(permutations(range(1, n + 1))), n,
-          partial(closed_forms.permutation_form, n)) for n in range(1, max_n + 1)),
+        (({"n": n}, (1,) * n) for n in range(1, max_n + 1)),
     )
 
 
@@ -138,8 +142,13 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
     """Involution and counting checks on signed configurations."""
     checked = 0
     for n, xset, yset in _random_pairs(max_n, pairs, seed):
-        query = DescentQuery(xset, yset)
-        brute = stats.brute_poly(n, query)
+        brute = stats.brute_poly(n, DescentQuery(xset, yset))
+
+        def case(flavor, s, **stage):
+            """The failing case; a stage r sits between s and the sets."""
+            return {"flavor": flavor.value, "n": n, "s": s, **stage,
+                    "tops": str(xset), "bottoms": str(yset)}
+
         for flavor in configurations.Flavor:
             for s in range(n + 2):
                 signed_total = 0
@@ -173,16 +182,8 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
                     if enumerated != staged:
                         raise VerificationError(
                             "staged count disagrees with enumeration",
-                            {
-                                "flavor": flavor.value,
-                                "n": n,
-                                "s": s,
-                                "r": r,
-                                "tops": str(xset),
-                                "bottoms": str(yset),
-                                "enumerated": enumerated,
-                                "staged": staged,
-                            },
+                            {**case(flavor, s, r=r),
+                             "enumerated": enumerated, "staged": staged},
                         )
                     checked += enumerated
                 # everything cancels except the plus-signed fixed points
@@ -190,28 +191,13 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
                 if signed_total != count:
                     raise VerificationError(
                         "signed configuration sum does not telescope",
-                        {
-                            "flavor": flavor.value,
-                            "n": n,
-                            "s": s,
-                            "tops": str(xset),
-                            "bottoms": str(yset),
-                            "signed_total": signed_total,
-                            "expected": count,
-                        },
+                        {**case(flavor, s),
+                         "signed_total": signed_total, "expected": count},
                     )
                 if fixed_total != count:
                     raise VerificationError(
                         "fixed points do not match the descent count",
-                        {
-                            "flavor": flavor.value,
-                            "n": n,
-                            "s": s,
-                            "tops": str(xset),
-                            "bottoms": str(yset),
-                            "fixed_points": fixed_total,
-                            "brute": count,
-                        },
+                        {**case(flavor, s), "fixed_points": fixed_total, "brute": count},
                     )
     return checked
 
@@ -230,8 +216,7 @@ def sweep_words(max_n: int) -> int:
     return _sweep_closed_forms(
         "word formulas disagree with enumeration",
         ("word_formula_1", "word_formula_2"),
-        (({"rho": list(rho)}, list(words.enumerate_rearrangements(rho)), len(rho),
-          partial(words.word_form, rho))
+        (({"rho": list(rho)}, rho)
          for n in range(1, max_n + 1) for rho in _compositions(n)),
     )
 
@@ -240,19 +225,14 @@ def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
     """Hit numbers against brute force, plus the distinct-rows reduction."""
     checked = 0
     for n, xset, yset in _random_pairs(max_n, pairs, seed):
+        case = {"n": n, "tops": str(xset), "bottoms": str(yset)}
         query = DescentQuery(xset, yset)
         brute = stats.brute_poly(n, query)
         hits = rook.hits_via_foata(n, query)
         if hits != brute:
             raise VerificationError(
                 "hit polynomial disagrees with brute force",
-                {
-                    "n": n,
-                    "tops": str(xset),
-                    "bottoms": str(yset),
-                    "hits": hits.coeff_list(),
-                    "brute": brute.coeff_list(),
-                },
+                {**case, "hits": hits.coeff_list(), "brute": brute.coeff_list()},
             )
         board = rook.board_from_query(n, query)
         _, canon_tops = rook.canonical_distinct_rows(board)
@@ -260,12 +240,7 @@ def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
         if reduced != brute:
             raise VerificationError(
                 "distinct-rows reduction changes the polynomial",
-                {
-                    "n": n,
-                    "tops": str(xset),
-                    "bottoms": str(yset),
-                    "reduced_tops": str(canon_tops),
-                },
+                {**case, "reduced_tops": str(canon_tops)},
             )
         checked += 1
     return checked

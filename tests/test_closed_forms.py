@@ -13,6 +13,7 @@ from descentpoly.closed_forms import (
     formula_X_only_2,
     kn_bottom_formulas,
     kn_top_formulas,
+    permutation_form,
     rectangle_product,
 )
 from descentpoly.hypergeom import verify_cor35
@@ -148,3 +149,13 @@ OUT_OF_RANGE = [
 def test_special_cases_reject_out_of_range(fn, args, message):
     with pytest.raises(InputError, match=message):
         fn(*args)
+
+
+@pytest.mark.parametrize("second", [False, True])
+def test_explicit_and_residue_evens_give_one_form(second):
+    # an explicit set answers membership from a hash set, so asking it
+    # about each of 1..20000 costs no more than asking the residue class
+    explicit = explicit_set(range(2, 20001, 2))
+    assert permutation_form(20000, explicit, ALL, second) == permutation_form(
+        20000, EVENS, ALL, second
+    )

@@ -15,6 +15,7 @@ from descentpoly.hypergeom import (
     verify_balanced_identity,
     verify_cor35,
 )
+from descentpoly.perms import InputError
 from descentpoly.polynomials import poch
 from descentpoly.verify import sweep_hypergeom
 
@@ -97,6 +98,21 @@ class TestProfiles:
         profile = UVProfile((0, 1, 1, 5), (2, 3, 1, 2))
         with pytest.raises(ValueError):
             tau_sequence(profile, profile.min_n() - 1)
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: UVProfile((), ()), "u and v must be nonempty and equally long"),
+            (lambda: UVProfile((0,), (0,)), "need u_i >= 0 and v_i >= 1"),
+            (lambda: UVProfile((1, 0), (1, 1)), "u must be weakly increasing"),
+            (lambda: tau_sequence(UVProfile((0,), (1,)), 1), "need n >= 2 for this profile"),
+        ],
+        ids=["lengths", "ranges", "order", "room"],
+    )
+    def test_bad_profiles_raise_input_error(self, build, message):
+        with pytest.raises(InputError) as info:
+            build()
+        assert str(info.value) == message
 
 
 class TestBalancedIdentity:

@@ -1,8 +1,14 @@
 """The cross-check sweeps themselves, at small sizes."""
 
+from functools import partial
+
 import pytest
 
-from descentpoly import verify
+from descentpoly import configurations, rook, stats, verify, words
+from descentpoly.cli import EXIT_CAP, main
+from descentpoly.configurations import Configuration
+from descentpoly.sets import ALL
+from descentpoly.stats import CapExceededError
 from descentpoly.verify import SUITES, VerificationError, run_suite
 
 
@@ -50,3 +56,60 @@ def test_closed_form_sweep_failure_record(monkeypatch, sweep, message, payload):
         sweep(3)
     assert str(info.value) == message
     assert list(info.value.payload.items()) == list(payload.items())
+
+
+def _plus_one(real):
+    return lambda *args, **kwargs: real(*args, **kwargs) + 1
+
+
+def _reversed(config):
+    # an involution that keeps every sign: 1234 maps to 4321
+    return Configuration(config.items[::-1], config.flavor, config.tops, config.bottoms)
+
+
+CONFIG_CASE = [("flavor", "standard"), ("n", 4), ("s", 0)]
+SETS = [("tops", "{2,3}"), ("bottoms", "{1,3,4}")]
+
+
+@pytest.mark.parametrize(
+    "module, name, patch, sweep, message, items",
+    [
+        (configurations, "staged_count", _plus_one(configurations.staged_count),
+         verify.sweep_configs, "staged count disagrees with enumeration",
+         CONFIG_CASE + [("r", 0)] + SETS + [("enumerated", 12), ("staged", 13)]),
+        (stats, "brute_poly", _plus_one(stats.brute_poly),
+         verify.sweep_configs, "signed configuration sum does not telescope",
+         CONFIG_CASE + SETS + [("signed_total", 12), ("expected", 13)]),
+        (configurations, "involution", lambda config: config,
+         verify.sweep_configs, "fixed points do not match the descent count",
+         [("flavor", "standard"), ("n", 4), ("s", 1)] + SETS
+         + [("fixed_points", 132), ("brute", 12)]),
+        (configurations, "involution", _reversed,
+         verify.sweep_configs, "involution does not reverse sign",
+         [("configuration", "1234"), ("image", "4321")]),
+        (rook, "hits_via_foata", _plus_one(rook.hits_via_foata),
+         verify.sweep_rook, "hit polynomial disagrees with brute force",
+         [("n", 4)] + SETS + [("hits", [13, 12]), ("brute", [12, 12])]),
+        (rook, "canonical_distinct_rows", lambda board: (board, ALL),
+         verify.sweep_rook, "distinct-rows reduction changes the polynomial",
+         [("n", 4)] + SETS + [("reduced_tops", "all")]),
+    ],
+    ids=["staged", "telescope", "fixed-points", "sign", "hits", "distinct-rows"],
+)
+def test_random_pair_sweep_failure_record(
+    monkeypatch, module, name, patch, sweep, message, items
+):
+    monkeypatch.setattr(module, name, patch)
+    with pytest.raises(VerificationError) as info:
+        sweep(4, pairs=3)
+    assert str(info.value) == message
+    assert list(info.value.payload.items()) == items
+
+
+def test_formulas_sweep_stops_at_the_word_cap(monkeypatch, capsys):
+    capped = partial(words.enumerate_rearrangements, limit=100)
+    monkeypatch.setattr(words, "enumerate_rearrangements", capped)
+    with pytest.raises(CapExceededError):
+        verify.sweep_formulas(5)
+    assert main(["verify", "--suite", "formulas", "--max-n", "5"]) == EXIT_CAP
+    assert "cap exceeded" in capsys.readouterr().err
