@@ -2,7 +2,8 @@
 
 Every series handled here has all-negative-integer parameters and unit
 argument, so it terminates: some numerator Pochhammer hits zero.  The
-evaluation is plain Fraction arithmetic; the interesting content is the
+evaluation sums in integers, one numerator over one denominator, and
+returns a single reduced Fraction; the interesting content is the
 validation (no denominator Pochhammer may vanish first) and the identities
 the rest of the package checks against descent-polynomial counts.
 """
@@ -62,16 +63,21 @@ class HypergeometricSpec:
 
 
 def eval_terminating(spec: HypergeometricSpec) -> Fraction:
+    """The series' exact sum, reduced.
+
+    Term r is term r-1 times n_r / d_r, n_r = prod (a + r - 1) over the
+    numerator and d_r = r prod (b + r - 1) over the denominator, and
+    validate() rules out d_r = 0.  The partial sums stay one integer
+    numerator over den = d_1 ... d_r: acc <- acc d_r + n_1 ... n_r.
+    """
     spec.validate()
-    total = Fraction(0)
-    term = Fraction(1)
-    for r in range(spec.termination_index() + 1):
-        if r > 0:
-            num = prod(a + r - 1 for a in spec.numerator)
-            den = r * prod(b + r - 1 for b in spec.denominator)
-            term *= Fraction(num, den)
-        total += term
-    return total
+    acc = den = term = 1
+    for r in range(1, spec.termination_index() + 1):
+        step = r * prod(b + r - 1 for b in spec.denominator)
+        term *= prod(a + r - 1 for a in spec.numerator)
+        acc = acc * step + term
+        den *= step
+    return Fraction(acc, den)
 
 
 @dataclass(frozen=True)

@@ -8,12 +8,16 @@ matrix, then every (tops, bottoms) subset pair is a couple of matrix
 products away.  The closed-form sweeps walk every class R(rho) one way,
 with ``words.enumerate_rearrangements``, S_n as rho = 1^n, so a class past
 its cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
+The Foata sweep keeps S_n and its cycle rewritings as int8 rows, at most
+FOATA_CHUNK at a time, and reads the bridge's excedence and descent counts
+from per-query tables.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import chain, combinations_with_replacement, permutations, product
+from itertools import chain, combinations_with_replacement, islice, permutations, product
+from math import factorial
 
 import numpy as np
 
@@ -246,8 +250,65 @@ def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
     return checked
 
 
+FOATA_CHUNK = 40320  # 8!: the most rows of S_n sweep_foata holds at once
+
+
+def _bridge_tables(n: int, query: DescentQuery, board: rook.Board) -> tuple:
+    """The board's excedence table exc[i, j] = ((i, j) in board.cells) and
+    the query's descent table des[a, b] = query.matches(a, b), 0 <= i, j,
+    a, b <= n."""
+    exc = np.zeros((n + 1, n + 1), dtype=np.int8)
+    for i, j in board.cells:
+        exc[i, j] = 1
+    return exc, np.array(query.match_table(n), dtype=np.int8)
+
+
+def _bridge_counts(omegas: np.ndarray, sigmas: np.ndarray, tables: tuple) -> tuple:
+    """Per row k: the rooks of omegas[k] on the board (omega_j = i is the
+    cell (i, j)) and the matching descents of sigmas[k], both gathered from
+    the ``_bridge_tables`` pair ``tables``."""
+    exc, des = tables
+    columns = np.arange(1, omegas.shape[1] + 1)
+    return (exc[omegas, columns].sum(axis=1),
+            des[sigmas[:, :-1], sigmas[:, 1:]].sum(axis=1))
+
+
+def _check_bridge(omegas: np.ndarray, sigmas: np.ndarray, tests, tables):
+    """Raise the bridge failure of the first row, then the first query, at
+    which the excedences of omega differ from the descents of sigma."""
+    bad = [np.flatnonzero(np.not_equal(*_bridge_counts(omegas, sigmas, pair)))
+           for pair in tables]
+    first = min(((int(rows[0]), q) for q, rows in enumerate(bad) if rows.size),
+                default=None)
+    if first is None:
+        return
+    k, q = first
+    exc, des = _bridge_counts(omegas[k : k + 1], sigmas[k : k + 1], tables[q])
+    query = tests[q]
+    raise VerificationError(
+        "descent/excedence bridge broken",
+        {
+            "omega": omegas[k].tolist(),
+            "tops": str(query.tops),
+            "bottoms": str(query.bottoms),
+            "diffs": str(query.diffs),
+            "excedences": int(exc[0]),
+            "descents": int(des[0]),
+        },
+    )
+
+
 def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
-    """Round trips and the descent/excedence bridge over all of S_n."""
+    """Round trips and the descent/excedence bridge over all of S_n.
+
+    Each omega of S_n, in ``itertools.permutations`` order, is rewritten
+    once, sigma = foata(omega), and must round-trip.  omega and sigma are
+    written row by row into int8 arrays of at most FOATA_CHUNK rows, and for
+    each query every row's excedences on the query's board are compared with
+    sigma's matching descents by numpy gathers from two small tables.  The
+    failure reported is the first one met walking omega, then the queries;
+    at one omega the round trip comes before the bridge.
+    """
     rng = random.Random(seed)
     checked = 0
     for n in range(1, max_n + 1):
@@ -256,30 +317,24 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
                          _random_subset(n, rng))
             for _ in range(queries)
         ]
-        boards = [rook.board_from_query(n, query) for query in tests]
-        for omega in permutations(range(1, n + 1)):
-            sigma = rook.foata(omega)
-            if rook.foata_inverse(sigma) != omega:
-                raise VerificationError(
-                    "cycle rewriting does not round-trip",
-                    {"omega": list(omega), "image": list(sigma)},
-                )
-            for query, board in zip(tests, boards):
-                exc = rook.u_excedences(omega, board)
-                des = len(stats.des_set(sigma, query))
-                if exc != des:
+        tables = [_bridge_tables(n, query, rook.board_from_query(n, query))
+                  for query in tests]
+        walk = permutations(range(1, n + 1))
+        rows = min(factorial(n), FOATA_CHUNK)
+        omegas = np.empty((rows, n), dtype=np.int8)
+        sigmas = np.empty((rows, n), dtype=np.int8)
+        for _ in range(factorial(n) // rows):
+            for k, omega in enumerate(islice(walk, rows)):
+                sigma = rook.foata(omega)
+                if rook.foata_inverse(sigma) != omega:
+                    _check_bridge(omegas[:k], sigmas[:k], tests, tables)
                     raise VerificationError(
-                        "descent/excedence bridge broken",
-                        {
-                            "omega": list(omega),
-                            "tops": str(query.tops),
-                            "bottoms": str(query.bottoms),
-                            "diffs": str(query.diffs),
-                            "excedences": exc,
-                            "descents": des,
-                        },
+                        "cycle rewriting does not round-trip",
+                        {"omega": list(omega), "image": list(sigma)},
                     )
-                checked += 1
+                omegas[k], sigmas[k] = omega, sigma
+            _check_bridge(omegas, sigmas, tests, tables)
+            checked += rows * queries
     return checked
 
 

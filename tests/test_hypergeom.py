@@ -1,6 +1,8 @@
 """Terminating hypergeometric series and the balanced-transformation checks."""
 
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -38,7 +40,51 @@ def cor35_as_printed(k, m, s):
     )
 
 
+def term_by_term(spec):
+    """The series summed one normalised Fraction term at a time."""
+    total, term = Fraction(0), Fraction(1)
+    for r in range(spec.termination_index() + 1):
+        if r:
+            term *= Fraction(
+                prod(a + r - 1 for a in spec.numerator),
+                r * prod(b + r - 1 for b in spec.denominator),
+            )
+        total += term
+    return total
+
+
+def pfaff_grid(max_param):
+    for a, b in product(range(-max_param, 1), repeat=2):
+        for n in range(max_param + 1):
+            for c in range(-2 * max_param, max_param + 1):
+                yield HypergeometricSpec((-n, a, b), (c, a + b - c - n + 1))
+
+
+ORACLE_SPECS = [
+    *pfaff_grid(5),
+    *(HypergeometricSpec((-n, b), (c,))
+      for n in range(5) for b in range(-4, 1) for c in range(1, 5)),
+    HypergeometricSpec((-3,), ()),
+    HypergeometricSpec((-2, -7), (-7,)),
+]
+
+
 class TestEvaluation:
+    def test_matches_the_term_by_term_sum(self):
+        ill_posed = 0
+        for spec in ORACLE_SPECS:
+            try:
+                spec.validate()
+            except IllPosedSeriesError:
+                with pytest.raises(IllPosedSeriesError):
+                    eval_terminating(spec)
+                ill_posed += 1
+                continue
+            value = eval_terminating(spec)
+            assert type(value) is Fraction
+            assert value == term_by_term(spec), spec
+        assert 0 < ill_posed < len(ORACLE_SPECS)
+
     def test_binomial_theorem_special_case(self):
         # 1F0(-n; ; 1) at unit argument is (1-1)^n = 0 for n >= 1
         assert eval_terminating(HypergeometricSpec((-3,), ())) == 0

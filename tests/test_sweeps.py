@@ -1,14 +1,20 @@
 """The cross-check sweeps themselves, at small sizes."""
 
+import json
+import random
+import tracemalloc
 from functools import partial
+from itertools import permutations
+from math import factorial
 
+import numpy as np
 import pytest
 
 from descentpoly import configurations, rook, stats, verify, words
-from descentpoly.cli import EXIT_CAP, main
+from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
 from descentpoly.configurations import Configuration
-from descentpoly.sets import ALL
-from descentpoly.stats import CapExceededError
+from descentpoly.sets import ALL, residue_set
+from descentpoly.stats import CapExceededError, DescentQuery
 from descentpoly.verify import SUITES, VerificationError, run_suite
 
 
@@ -62,11 +68,30 @@ def _plus_one(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + 1
 
 
+def _foata_sweep(max_n, pairs):
+    """sweep_foata at the table's sizes: ``pairs`` seeded queries per n."""
+    return verify.sweep_foata(max_n, queries=pairs)
+
+
+def _backwards(real):
+    return lambda *args: real(*args)[::-1]
+
+
+def _drop_last_cell(real):
+    """board_from_query without its largest cell."""
+    def board(n, query):
+        cells = real(n, query).cells
+        return rook.Board(n, cells - {max(cells, default=None)})
+    return board
+
+
 def _reversed(config):
     # an involution that keeps every sign: 1234 maps to 4321
     return Configuration(config.items[::-1], config.flavor, config.tops, config.bottoms)
 
 
+BRIDGE_RECORD = [("omega", [2, 1, 3]), ("tops", "{2}"), ("bottoms", "{1}"),
+                 ("diffs", "{1,2,3}"), ("excedences", 0), ("descents", 1)]
 CONFIG_CASE = [("flavor", "standard"), ("n", 4), ("s", 0)]
 SETS = [("tops", "{2,3}"), ("bottoms", "{1,3,4}")]
 
@@ -93,8 +118,14 @@ SETS = [("tops", "{2,3}"), ("bottoms", "{1,3,4}")]
         (rook, "canonical_distinct_rows", lambda board: (board, ALL),
          verify.sweep_rook, "distinct-rows reduction changes the polynomial",
          [("n", 4)] + SETS + [("reduced_tops", "all")]),
+        (rook, "foata_inverse", _backwards(rook.foata_inverse),
+         _foata_sweep, "cycle rewriting does not round-trip",
+         [("omega", [1, 2]), ("image", [1, 2])]),
+        (rook, "board_from_query", _drop_last_cell(rook.board_from_query),
+         _foata_sweep, "descent/excedence bridge broken", BRIDGE_RECORD),
     ],
-    ids=["staged", "telescope", "fixed-points", "sign", "hits", "distinct-rows"],
+    ids=["staged", "telescope", "fixed-points", "sign", "hits", "distinct-rows",
+         "round-trip", "bridge"],
 )
 def test_random_pair_sweep_failure_record(
     monkeypatch, module, name, patch, sweep, message, items
@@ -113,3 +144,87 @@ def test_formulas_sweep_stops_at_the_word_cap(monkeypatch, capsys):
         verify.sweep_formulas(5)
     assert main(["verify", "--suite", "formulas", "--max-n", "5"]) == EXIT_CAP
     assert "cap exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "broken_at, message, items",
+    [
+        ((3, 2, 1), "descent/excedence bridge broken", BRIDGE_RECORD),
+        ((2, 1, 3), "cycle rewriting does not round-trip",
+         [("omega", [2, 1, 3]), ("image", [2, 1, 3])]),
+        ((1, 3, 2), "cycle rewriting does not round-trip",
+         [("omega", [1, 3, 2]), ("image", [1, 3, 2])]),
+    ],
+    ids=["bridge-at-an-earlier-omega", "round-trip-at-the-same-omega",
+         "round-trip-at-an-earlier-omega"],
+)
+def test_foata_sweep_reports_the_first_omega(monkeypatch, broken_at, message, items):
+    # the broken board first fails the bridge at omega = 213 of S_3
+    real = rook.foata_inverse
+
+    def inverse(sigma):
+        omega = real(sigma)
+        return omega[::-1] if omega == broken_at else omega
+
+    monkeypatch.setattr(rook, "board_from_query", _drop_last_cell(rook.board_from_query))
+    monkeypatch.setattr(rook, "foata_inverse", inverse)
+    with pytest.raises(VerificationError) as info:
+        _foata_sweep(4, 3)
+    assert str(info.value) == message
+    assert list(info.value.payload.items()) == items
+
+
+def test_bridge_failure_is_the_earliest_omega_over_all_queries(monkeypatch):
+    # of these four queries, an earlier one first fails at omega = 213
+    monkeypatch.setattr(rook, "board_from_query", _drop_last_cell(rook.board_from_query))
+    with pytest.raises(VerificationError) as info:
+        _foata_sweep(4, 4)
+    assert list(info.value.payload.items()) == [
+        ("omega", [1, 3, 2]), ("tops", "{3}"), ("bottoms", "{2}"),
+        ("diffs", "{1,2,3}"), ("excedences", 0), ("descents", 1),
+    ]
+
+
+def test_broken_bridge_exits_1_with_a_json_record(monkeypatch, capsys):
+    # several of the 20 queries fail at omega = 21; the first one is reported
+    monkeypatch.setattr(rook, "board_from_query", _drop_last_cell(rook.board_from_query))
+    assert main(["verify", "--suite", "foata", "--max-n", "5"]) == EXIT_VERIFY_FAILED
+    record = json.loads(capsys.readouterr().out)
+    assert record["result"] == {
+        "failure": {"omega": [2, 1], "tops": "{2}", "bottoms": "{1}", "diffs": "{1}",
+                    "excedences": 0, "descents": 1},
+        "message": "descent/excedence bridge broken",
+    }
+
+
+def _seeded_queries(n, seed):
+    """Explicit tops and bottoms with an explicit, a residue and the full Z."""
+    rng = random.Random(seed)
+    for diffs in (verify._random_subset(n, rng), residue_set(2, [1]), ALL):
+        yield DescentQuery(verify._random_subset(n, rng),
+                           verify._random_subset(n, rng), diffs)
+
+
+def test_bridge_table_counts_are_the_public_statistics():
+    perms = list(permutations(range(1, 7)))
+    omegas = np.array(perms, dtype=np.int8)
+    sigmas = np.array([rook.foata(omega) for omega in perms], dtype=np.int8)
+    for query in _seeded_queries(6, seed=6):
+        board = rook.board_from_query(6, query)
+        tables = verify._bridge_tables(6, query, board)
+        exc, des = verify._bridge_counts(omegas, sigmas, tables)
+        assert exc.tolist() == [rook.u_excedences(omega, board) for omega in perms]
+        assert des.tolist() == [
+            len(stats.des_set(rook.foata(omega), query)) for omega in perms
+        ]
+
+
+def test_foata_sweep_holds_no_list_of_s_n():
+    # a list of the 8! tuples of S_8 alone takes about 4.5 MB
+    tracemalloc.start()
+    try:
+        assert verify.sweep_foata(8, queries=2) == 2 * sum(map(factorial, range(1, 9)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
