@@ -48,6 +48,7 @@ def _emit(record: dict, fmt: str):
 
 
 def _emit_text_value(value, indent=""):
+    """A result dict, keys sorted; each list in it prints on one line."""
     if isinstance(value, dict):
         for key in sorted(value, key=str):
             inner = value[key]
@@ -56,10 +57,8 @@ def _emit_text_value(value, indent=""):
                 _emit_text_value(inner, indent + "  ")
             else:
                 print(f"{indent}{key}: {inner}")
-    elif isinstance(value, list):
-        print(indent + " ".join(str(v) for v in value))
     else:
-        print(f"{indent}{value}")
+        print(indent + " ".join(str(v) for v in value))
 
 
 def _query(args, inputs: dict) -> DescentQuery:

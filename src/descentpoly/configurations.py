@@ -31,7 +31,7 @@ from itertools import chain, combinations
 from .perms import InputError, check_size
 from .polynomials import binom
 from .sets import IntegerSet
-from .stats import CapExceededError
+from .stats import CapExceededError, DescentQuery
 from .words import _check_rho, enumerate_rearrangements, word_form
 
 __all__ = [
@@ -110,7 +110,7 @@ class Configuration:
             if it == PLUS:
                 plus[gap] += 1
             elif it != MINUS:
-                raise ValueError(f"bad item {it!r} in configuration")
+                raise InputError(f"bad item {it!r} in configuration")
             elif opens_gap and minus_mask is not None:
                 minus_mask |= 1 << gap
             else:
@@ -273,20 +273,13 @@ def _sign_layouts(n_gaps: int, n_plus: int, n_minus: int, required_mask: int):
     minus_masks = [
         sum(1 << g for g in gaps) for gaps in combinations(range(n_gaps), n_minus)
     ]
+    # stars and bars: n_gaps - 1 bars among the free '+'s cut them into gaps
+    slots = free + n_gaps - 1
     plus_layouts = [
-        tuple(map(int.__add__, comp, required))
-        for comp in _weak_compositions(free, n_gaps)
+        tuple(b - a - 1 + r for a, b, r in zip((-1, *bars), (*bars, slots), required))
+        for bars in combinations(range(slots), n_gaps - 1)
     ]
     return [(minus, plus) for minus in minus_masks for plus in plus_layouts]
-
-
-def _weak_compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _assemble(seq, minus_mask, plus_by_gap):
@@ -303,26 +296,18 @@ def _assemble(seq, minus_mask, plus_by_gap):
 @lru_cache(maxsize=1 << 16)
 def _required_mask(seq, flavor: Flavor, tops, bottoms) -> int:
     """Gaps (0..len(seq)) that must contain a '+', from the letters alone,
-    as a bit mask.
+    as a bit mask; gap g follows letter g.
 
     STANDARD: the gap inside each matching descent pair.  OVERLINE: the gap
     after each potential-top letter that is not a matching descent top,
     including the final gap when the last letter is a potential top.
     """
-    top_vals = {v for v in seq if v in tops}
-    bottom_vals = {v for v in seq if v in bottoms}
+    matches = DescentQuery(tops, bottoms).matches
+    standard = flavor is Flavor.STANDARD
     req = 0
-    n = len(seq)
-    for i in range(1, n):
-        a, b = seq[i - 1], seq[i]
-        matching = a > b and a in top_vals and b in bottom_vals
-        if flavor is Flavor.STANDARD:
-            if matching:
-                req |= 1 << i
-        elif a in top_vals and not matching:
-            req |= 1 << i
-    if flavor is Flavor.OVERLINE and n and seq[n - 1] in top_vals:
-        req |= 1 << n
+    for gap, letter in enumerate(seq, 1):
+        descent = gap < len(seq) and matches(letter, seq[gap])
+        req |= (descent if standard else letter in tops and not descent) << gap
     return req
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .perms import all_permutations, check_permutation, check_size, cycles, from_cycles
+from .perms import all_permutations, check_permutation, check_size, cycles
 from .polynomials import IntPolynomial
-from .sets import ALL, IntegerSet
+from .sets import ALL, IntegerSet, explicit_set
 from .stats import CapExceededError, DescentQuery
 
 __all__ = [
@@ -300,43 +300,37 @@ def foata(omega) -> tuple[int, ...]:
 
 
 def foata_inverse(sigma) -> tuple[int, ...]:
-    """Cut before each left-to-right maximum; reversed blocks are the cycles."""
+    """Cut before each left-to-right maximum; reversed blocks are the cycles:
+    a block b_0 ... b_k gives omega(b_i) = b_(i-1) and omega(b_0) = b_k."""
     sigma = check_permutation(sigma)
     n = len(sigma)
-    blocks = []
-    best = 0
-    for v in sigma:
-        if v > best:
-            blocks.append([v])
-            best = v
+    omega = [0] * n
+    top = 0  # b_0 of the current block, the largest letter so far
+    for prev, v in zip((0, *sigma), (*sigma, n + 1)):  # n + 1 closes the last block
+        if v < top:
+            omega[v - 1] = prev
         else:
-            blocks[-1].append(v)
-    return from_cycles([list(reversed(b)) for b in blocks], n)
+            if top:
+                omega[top - 1] = prev
+            top = v
+    return tuple(omega)
 
 
 def canonical_distinct_rows(board: Board) -> tuple[Board, IntegerSet]:
     """The rook-equivalent Ferrers board with distinct rows, and its tops set.
 
-    Sorting the structure vector weakly decreasing yields heights that rise
-    by at most one per column, i.e. distinct row sizes; a row of size i-1
-    belongs at value i, which reads off the tops set directly.
+    The structure vector s_j = h_j - (j-1) starts at 0 (no row has length
+    n), never exceeds 0 (only rows n+2-j..n reach column j) and falls by at
+    most 1 per column (heights never fall), so its values fill {m, ..., 0}.
+    Sorted decreasing, it gives heights that rise by 0 or 1 per column: a
+    rise at column j, where two sorted values are equal, is the one row of
+    length n+1-j, whose top is n+2-j.
     """
-    from .sets import explicit_set
-
     n = board.n
     _, structure = height_structure(board)
-    s_sorted = sorted(structure, reverse=True)
-    heights = [s + (j - 1) for j, s in enumerate(s_sorted, start=1)]
-    lengths = []
-    for k in range(1, n + 1):
-        at_least_k = heights[n - k]
-        at_least_k1 = heights[n - k - 1] if k + 1 <= n else 0
-        exactly = at_least_k - at_least_k1
-        if exactly not in (0, 1):
-            raise NotFerrersError("canonical heights do not have distinct rows")
-        if exactly:
-            lengths.append(k)
-    tops = explicit_set(l + 1 for l in lengths)
+    s = sorted(structure, reverse=True)
+    # s[i] is column i + 1: a rise there is the row whose top is n + 1 - i
+    tops = explicit_set(n + 1 - i for i in range(1, n) if s[i] == s[i - 1])
     canon = board_from_query(n, DescentQuery(tops, ALL))
     return canon, tops
 

@@ -53,10 +53,9 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
     the tail after j.
     """
     rho = _check_rho(rho)
-    if rearrangement_count(rho) > limit:
-        raise CapExceededError(
-            f"|R({rho})| = {rearrangement_count(rho)} exceeds the cap {limit}"
-        )
+    count = multinomial(rho)
+    if count > limit:
+        raise CapExceededError(f"|R({rho})| = {count} exceeds the cap {limit}")
     a = [v for v, part in enumerate(rho, start=1) for _ in range(part)]
     while True:
         yield tuple(a)

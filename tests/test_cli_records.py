@@ -249,3 +249,65 @@ def test_trace_on_the_class_letters_still_answers(capsys):
     code, out, _ = run(capsys, *CONFIGS_N3, "--trace", "2+13")
     assert code == EXIT_OK
     assert json.loads(out)["result"]["trace"] == {"input": "2+13", "image": "2+13"}
+
+
+BOARD_TEXT = [
+    "command: board",
+    "  n: 8",
+    "  x: {2,3,5,7,8}",
+    "  y: {1,2,4,5,6}",
+    "  z: all",
+    "method: direct",
+    "  canonical_x: {2,3,4,5,7}",
+    "  cells:",
+    "    [2, 1] [3, 1] [3, 2] [5, 1] [5, 2] [5, 4] [7, 1] [7, 2] [7, 4] [7, 5] [7, 6]"
+    " [8, 1] [8, 2] [8, 4] [8, 5] [8, 6]",
+    "  grid:",
+    "    # # . # # # . . # # . # # # . . . . . . . . . . # # . # . . . . . . . . . ."
+    " . . # # . . . . . . # . . . . . . . . . . . . . . .",
+    "  heights:",
+    "    0 0 0 2 2 3 4 5",
+    "  n: 8",
+    "  structure:",
+    "    0 -1 -2 -1 -2 -2 -2 -2",
+]
+CONFIGS_TEXT = [
+    "command: configs",
+    "  n: 3",
+    "  s: 2",
+    "  r: 1",
+    "  x: {2,3}",
+    "  y: {1,2}",
+    "  flavor: standard",
+    "method: enumeration",
+    "  configurations:",
+    "    -123+ -12+3 -1+23 -+123 1-23+ 1-2+3 1-+23 +1-23 12-3+ 12-+3 1+2-3 +12-3"
+    " 123-+ 12+3- 1+23- +123- -13+2 1-3+2 13-+2 13+2- -2+13 2-+13 2+1-3 2+13-"
+    " -23+1 2-3+1 23-+1 23+1- -3+12 3-+12 3+1-2 3+12-",
+    "  count: 32",
+    "  staged_count: 32",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (["board", "--n", "8", "--x", "{2,3,5,7,8}", "--y", "{1,2,4,5,6}"], BOARD_TEXT),
+        (["configs", "--n", "3", "--s", "2", "--r", "1", "--x", "{2,3}", "--y", "{1,2}",
+          "--list"], CONFIGS_TEXT),
+    ],
+    ids=["board", "configs-list"],
+)
+def test_text_record_prints_lists_on_one_line(capsys, argv, lines):
+    code, out, _ = run(capsys, "--format", "text", *argv)
+    assert code == EXIT_OK
+    *body, elapsed = out.splitlines()
+    assert body == lines
+    assert elapsed.startswith("elapsed_ms: ")
+
+
+def test_half_line_below_1_exits_2_naming_the_token(capsys):
+    code, out, err = run(capsys, "board", "--n", "5", "--x", "geq:0", "--y", "all")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "invalid set 'geq:0': half-line start must be >= 1" in err

@@ -7,7 +7,8 @@ before, and that parsed and enumerated configurations are the same objects.
 """
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations, product
+from operator import add
 
 import pytest
 
@@ -18,12 +19,16 @@ from descentpoly.configurations import (
     Flavor,
     MalformedConfigurationError,
     _conditions_hold,
+    _required_mask,
+    _sign_layouts,
     config_from_str,
     config_to_str,
     enumerate_configs,
     involution,
 )
-from descentpoly.sets import explicit_set
+from descentpoly.sets import ALL, explicit_set, residue_set
+from descentpoly.stats import DescentQuery, des_set
+from descentpoly.words import enumerate_rearrangements
 
 
 def _docstring_flip(config):
@@ -141,3 +146,48 @@ class TestConstructionPaths:
             assert parsed.sign == c.sign
             assert str(parsed) == str(c)
             assert Configuration(c.items, c.flavor, tops, bottoms) == c
+
+
+@pytest.mark.parametrize(
+    "n_gaps, n_plus, required_mask",
+    [(1, 0, 0), (1, 3, 1), (2, 0, 0), (4, 5, 0b1010), (5, 2, 0b111), (3, 1, 0b111)],
+)
+def test_sign_layouts_are_lexicographic_in_minus_gaps_then_plus_counts(
+    n_gaps, n_plus, required_mask
+):
+    required = [required_mask >> g & 1 for g in range(n_gaps)]
+    free = n_plus - sum(required)
+    compositions = sorted(
+        c for c in product(range(max(free, 0) + 1), repeat=n_gaps) if sum(c) == free
+    )
+    plus = [tuple(map(add, c, required)) for c in compositions]
+    for n_minus in range(n_gaps + 1):
+        minus = [
+            sum(1 << g for g in gaps) for gaps in combinations(range(n_gaps), n_minus)
+        ]
+        layouts = _sign_layouts(n_gaps, n_plus, n_minus, required_mask)
+        assert layouts == [(m, p) for m in minus for p in plus]
+
+
+@pytest.mark.parametrize("flavor", list(Flavor))
+@pytest.mark.parametrize(
+    "tops, bottoms",
+    [
+        (explicit_set([2, 3, 5]), explicit_set([1, 2, 4])),
+        (residue_set(2, [0]), ALL),
+        (ALL, residue_set(3, [1, 2])),
+        (explicit_set([]), ALL),
+    ],
+)
+def test_required_gaps_follow_the_matching_descents(flavor, tops, bottoms):
+    """STANDARD asks for a '+' at each matching descent; OVERLINE after each
+    potential top that is not a matching descent top, the last letter too."""
+    query = DescentQuery(tops, bottoms)
+    classes = [permutations(range(1, 6)), enumerate_rearrangements((1, 2, 2, 1))]
+    for seq in (seq for walk in classes for seq in walk):
+        descents = des_set(seq, query)
+        if flavor is Flavor.STANDARD:
+            gaps = descents
+        else:
+            gaps = {g for g, v in enumerate(seq, 1) if v in tops} - descents
+        assert _required_mask(seq, flavor, tops, bottoms) == sum(1 << g for g in gaps)

@@ -14,7 +14,8 @@ from descentpoly.configurations import (
     involution,
     staged_count,
 )
-from descentpoly.sets import EVENS, ODDS, explicit_set
+from descentpoly.perms import InputError
+from descentpoly.sets import ALL, EVENS, ODDS, explicit_set
 from descentpoly.verify import sweep_configs
 
 
@@ -125,3 +126,10 @@ class TestSweep:
         # involution is a sign-reversing bijection away from its fixed points,
         # and both signed and fixed-point totals hit the brute-force counts
         assert sweep_configs(4, pairs=12, seed=7) > 0
+
+
+@pytest.mark.parametrize("item", ["*", 2.5, None, "+-"])
+def test_bad_item_raises_input_error_naming_it(item):
+    with pytest.raises(InputError) as info:
+        Configuration((1, item, 2), Flavor.STANDARD, ALL, ALL)
+    assert str(info.value) == f"bad item {item!r} in configuration"

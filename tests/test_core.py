@@ -132,3 +132,9 @@ class TestPolynomials:
         assert b.specialize_second(1).coeff_list() == [3, 2]
         assert b.specialize_first(2).coeff_list() == [4, 3]
         assert BivarPolynomial.constant(7).coeff(0, 0) == 7
+
+
+def test_from_cycles_fills_in_the_fixed_points():
+    assert from_cycles([[1, 3]], 4) == (3, 2, 1, 4)
+    assert from_cycles([[2, 4, 3]], 5) == (1, 4, 2, 3, 5)
+    assert from_cycles([], 3) == (1, 2, 3)

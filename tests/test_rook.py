@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from descentpoly.perms import InputError, all_permutations, from_cycles
 from descentpoly.polynomials import binom
 from descentpoly.rook import (
     Board,
@@ -212,3 +213,60 @@ class TestSweeps:
 
     def test_foata_sweep(self):
         assert sweep_foata(4, queries=5, seed=3) > 0
+
+
+def _foata_inverse_by_cycles(sigma):
+    """Cut sigma before each left-to-right maximum and hand the reversed
+    blocks to from_cycles as the cycles of omega."""
+    blocks = []
+    for v in sigma:
+        if not blocks or v > blocks[-1][0]:
+            blocks.append([v])
+        else:
+            blocks[-1].append(v)
+    return from_cycles([block[::-1] for block in blocks], len(sigma))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_foata_inverse_is_the_reversed_blocks_as_cycles(n):
+    for sigma in all_permutations(n):
+        assert foata_inverse(sigma) == _foata_inverse_by_cycles(sigma)
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (2, 3), (0,), (1, 2, 4), (2, 1, 1)])
+def test_foata_inverse_rejects_non_permutations(bad):
+    with pytest.raises(InputError, match="not a permutation"):
+        foata_inverse(bad)
+
+
+def test_ferrers_rook_numbers_rejects_falling_heights():
+    with pytest.raises(NotFerrersError, match="weakly increasing"):
+        ferrers_rook_numbers([2, 1])
+
+
+def _tops_by_row_lengths(board):
+    """Canonical tops from the number of rows of each length k, read as the
+    difference of two sorted heights; each difference must be 0 or 1."""
+    n = board.n
+    _, structure = height_structure(board)
+    heights = [s + j for j, s in enumerate(sorted(structure, reverse=True))]
+    exactly = {
+        k: heights[n - k] - (heights[n - k - 1] if k < n else 0)
+        for k in range(1, n + 1)
+    }
+    assert set(exactly.values()) <= {0, 1}
+    return explicit_set(k + 1 for k, rows in exactly.items() if rows)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_canonical_tops_are_the_rises_of_the_sorted_heights(n):
+    for xbits in range(1 << n):
+        tops = explicit_set(i + 1 for i in range(n) if xbits >> i & 1)
+        for ybits in range(1 << n):
+            bottoms = explicit_set(i + 1 for i in range(n) if ybits >> i & 1)
+            board = board_from_query(n, DescentQuery(tops, bottoms))
+            canon, canon_tops = canonical_distinct_rows(board)
+            assert canon_tops == _tops_by_row_lengths(board)
+            lengths = row_lengths(canon)
+            assert len(set(lengths)) == len(lengths)
+            assert rook_equivalent(canon, board)

@@ -10,7 +10,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from descentpoly import configurations, rook, stats, verify, words
+from descentpoly import configurations, hypergeom, rook, stats, verify, words
 from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
 from descentpoly.configurations import Configuration
 from descentpoly.sets import ALL, residue_set
@@ -228,3 +228,32 @@ def test_foata_sweep_holds_no_list_of_s_n():
     finally:
         tracemalloc.stop()
     assert peak < 3_000_000
+
+
+
+@pytest.mark.parametrize(
+    "name, side, sweep, message, items",
+    [
+        ("verify_cor35", 0, verify.sweep_cor35, "mod-(k+1) identity fails",
+         [("k", 1), ("m", 1), ("s", 0), ("left", "2"), ("right", "1"), ("count", 1)]),
+        ("verify_balanced_identity", 1, verify.sweep_balanced,
+         "balanced transformation fails",
+         [("u", [0]), ("v", [1]), ("n", 2), ("s", 0), ("left", "1"), ("right", "2"),
+          ("count", 1)]),
+    ],
+    ids=["cor35", "balanced"],
+)
+def test_hypergeom_sweep_failure_record(monkeypatch, name, side, sweep, message, items):
+    real = getattr(hypergeom, name)
+
+    def skewed(*args):
+        # add 1 to one of the (left, right, count) sides
+        sides = list(real(*args))
+        sides[side] += 1
+        return tuple(sides)
+
+    monkeypatch.setattr(hypergeom, name, skewed)
+    with pytest.raises(VerificationError) as info:
+        sweep()
+    assert str(info.value) == message
+    assert list(info.value.payload.items()) == items
