@@ -7,7 +7,9 @@ JSON parser.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
 input, 3 cap exceeded.  Any other exception is an internal error and is
-not caught.
+not caught.  Only `verify`, `hypergeom` and the brute force of `poly` and
+`xyz` load numpy; `verify` is imported inside the two commands that run
+its sweeps.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import json
 import sys
 import time
 
-from . import closed_forms, configurations, rook, stats, verify, words
-from .perms import InputError, check_permutation, check_size, parse_int
-from .perms import format_permutation, parse_permutation
+from . import closed_forms, configurations, rook, stats, words
+from .perms import InputError, VerificationError, check_permutation, check_size
+from .perms import format_permutation, parse_int, parse_permutation
 from .polynomials import IntPolynomial
 from .sets import ALL, parse_set
 from .stats import CapExceededError, DescentQuery
@@ -48,7 +50,8 @@ def _emit(record: dict, fmt: str):
 
 
 def _emit_text_value(value, indent=""):
-    """A result dict, keys sorted; each list in it prints on one line."""
+    """A result dict, keys sorted; each list in it prints on one line, an
+    empty one as `[]`, as in the JSON record."""
     if isinstance(value, dict):
         for key in sorted(value, key=str):
             inner = value[key]
@@ -58,7 +61,7 @@ def _emit_text_value(value, indent=""):
             else:
                 print(f"{indent}{key}: {inner}")
     else:
-        print(indent + " ".join(str(v) for v in value))
+        print(indent + (" ".join(str(v) for v in value) if value else "[]"))
 
 
 def _query(args, inputs: dict) -> DescentQuery:
@@ -170,6 +173,8 @@ def cmd_qpoly(args, inputs: dict) -> dict:
 
 
 def cmd_hypergeom(args, inputs: dict) -> dict:
+    from . import verify
+
     inputs.update(suite=args.suite, max=args.max)
     if args.suite == "balanced":
         return {"cases_checked": verify.sweep_balanced()}
@@ -178,6 +183,8 @@ def cmd_hypergeom(args, inputs: dict) -> dict:
 
 
 def cmd_verify(args, inputs: dict) -> dict:
+    from . import verify
+
     inputs.update(suite=args.suite, max_n=args.max_n)
     counts = verify.run_suite(args.suite, args.max_n, seed=args.seed)
     return {"cases_checked": counts}
@@ -286,7 +293,7 @@ def main(argv=None) -> int:
     code = EXIT_OK
     try:
         result = args.func(args, inputs)
-    except verify.VerificationError as err:
+    except VerificationError as err:
         result = {"failure": err.payload, "message": str(err)}
         code = EXIT_VERIFY_FAILED
     except InputError as err:

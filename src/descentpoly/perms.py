@@ -6,6 +6,7 @@ from itertools import permutations
 
 __all__ = [
     "InputError",
+    "VerificationError",
     "check_size",
     "check_permutation",
     "cycles",
@@ -20,6 +21,16 @@ __all__ = [
 class InputError(ValueError):
     """Input that names no valid object: a size, permutation, set,
     composition or configuration.  The CLI reports it as a usage error."""
+
+
+class VerificationError(AssertionError):
+    """Two routes disagree on a case; `payload` names the case.  It lives
+    here, not in `verify`, so the CLI can catch it without importing the
+    sweeps (and numpy) on commands that run none.  The CLI exits 1."""
+
+    def __init__(self, message: str, payload: dict):
+        super().__init__(message)
+        self.payload = payload
 
 
 def check_size(n: int) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .perms import all_permutations, check_permutation, check_size, cycles
+from .perms import InputError, all_permutations, check_permutation, check_size, cycles
 from .polynomials import IntPolynomial
 from .sets import ALL, IntegerSet, explicit_set
 from .stats import CapExceededError, DescentQuery
@@ -62,7 +62,7 @@ class Board:
         check_size(self.n)
         for i, j in self.cells:
             if not 1 <= j < i <= self.n:
-                raise ValueError(f"cell {(i, j)} not strictly below the diagonal")
+                raise InputError(f"cell {(i, j)} not strictly below the diagonal")
 
     def ascii_grid(self) -> str:
         """Rows top to bottom are values n down to 1."""

@@ -63,9 +63,9 @@ class Explicit(IntegerSet):
 
     def __post_init__(self):
         if any(z < 1 for z in self.members):
-            raise ValueError("set members must be positive integers")
+            raise InputError("set members must be positive integers")
         if list(self.members) != sorted(set(self.members)):
-            raise ValueError("members must be sorted and distinct")
+            raise InputError("members must be sorted and distinct")
         object.__setattr__(self, "_lookup", frozenset(self.members))
 
     def contains(self, z: int) -> bool:
@@ -88,11 +88,11 @@ class ResidueClasses(IntegerSet):
 
     def __post_init__(self):
         if self.modulus < 1:
-            raise ValueError("modulus must be >= 1")
+            raise InputError("modulus must be >= 1")
         if any(not 0 <= r < self.modulus for r in self.residues):
-            raise ValueError("residues must lie in [0, modulus)")
+            raise InputError("residues must lie in [0, modulus)")
         if list(self.residues) != sorted(set(self.residues)):
-            raise ValueError("residues must be sorted and distinct")
+            raise InputError("residues must be sorted and distinct")
 
     def contains(self, z: int) -> bool:
         return z % self.modulus in self.residues
@@ -109,7 +109,7 @@ class HalfLine(IntegerSet):
 
     def __post_init__(self):
         if self.start < 1:
-            raise ValueError("half-line start must be >= 1")
+            raise InputError("half-line start must be >= 1")
 
     def contains(self, z: int) -> bool:
         return z >= self.start

@@ -3,7 +3,8 @@
 The brute-force sweeps here are the oracle everything else is checked
 against.  They enumerate all of S_n, so they are capped (default n = 10);
 the recursions are exact and polynomially bounded, and serve as the
-reference beyond the cap.
+reference beyond the cap.  The brute-force walk imports numpy inside the
+two functions that use it, so a caller that never walks S_n never loads it.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, chain, count, permutations, repeat
 from operator import add, mul, sub
-
-import numpy as np
 
 from .perms import check_size
 from .polynomials import BivarPolynomial, IntPolynomial
@@ -93,11 +92,14 @@ BLOCK_SIZE = 8  # a block holds the 8! orders of the last 8 values; pair indices
 
 
 @lru_cache(maxsize=None)
-def _block(k: int) -> tuple[np.ndarray, np.ndarray]:
+def _block(k: int) -> tuple:
     """All of S_k over the labels 0..k-1, one int8 row each, built by
     inserting k-1 into every slot of S_{k-1}; and, one int8 row per
     position i < k-1, the flat index u*k + v into a k x k table of the
-    pair (u, v) each permutation has at positions i, i+1."""
+    pair (u, v) each permutation has at positions i, i+1.  Both are
+    read-only numpy arrays."""
+    import numpy as np
+
     perms = np.zeros((1, 0), dtype=np.int8)
     for v in range(k):
         rows = len(perms)
@@ -124,6 +126,8 @@ def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
     and block join, and the block's pairs read through the remaining
     values).  Every permutation is visited; memory stays at one block.
     """
+    import numpy as np
+
     table = np.array(query.match_table(n), dtype=bool)
     k = min(n, BLOCK_SIZE)
     block, pairs = _block(k)

@@ -22,6 +22,7 @@ from math import factorial
 import numpy as np
 
 from . import configurations, hypergeom, rook, stats, words
+from .perms import VerificationError
 from .sets import ALL, explicit_set
 from .stats import DescentQuery
 
@@ -39,12 +40,6 @@ __all__ = [
     "SUITES",
     "run_suite",
 ]
-
-
-class VerificationError(AssertionError):
-    def __init__(self, message: str, payload: dict):
-        super().__init__(message)
-        self.payload = payload
 
 
 def _pair_matrix(seqs, m: int) -> np.ndarray:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from descentpoly import configurations, hypergeom, stats, verify, words
+from descentpoly import configurations, hypergeom, rook, sets, stats, verify, words
 from descentpoly.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY_FAILED, main
 from descentpoly.perms import InputError, check_size, parse_permutation
 from descentpoly.sets import ALL, parse_set
@@ -213,6 +213,21 @@ def test_input_errors_are_typed():
     assert issubclass(InputError, ValueError)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda: sets.at_least(0), "half-line start must be >= 1"),
+        (lambda: sets.residue_set(0, [0]), "modulus must be >= 1"),
+        (lambda: sets.explicit_set([0]), "set members must be positive integers"),
+        (lambda: rook.Board(3, {(1, 2)}), r"cell \(1, 2\) not strictly below the diagonal"),
+    ],
+    ids=["at_least", "residue_set", "explicit_set", "Board"],
+)
+def test_set_and_board_constructors_raise_input_error(bad, message):
+    with pytest.raises(InputError, match=f"^{message}$"):
+        bad()
+
+
 CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y", "all"]
 
 
@@ -288,6 +303,17 @@ CONFIGS_TEXT = [
     "  staged_count: 32",
 ]
 
+# No configuration at all: the empty list prints as `[]`, as in the JSON.
+CONFIGS_EMPTY_TEXT = [
+    *CONFIGS_TEXT[:6],
+    "  flavor: overline",
+    "method: enumeration",
+    "  configurations:",
+    "    []",
+    "  count: 0",
+    "  staged_count: 0",
+]
+
 
 @pytest.mark.parametrize(
     "argv, lines",
@@ -295,8 +321,10 @@ CONFIGS_TEXT = [
         (["board", "--n", "8", "--x", "{2,3,5,7,8}", "--y", "{1,2,4,5,6}"], BOARD_TEXT),
         (["configs", "--n", "3", "--s", "2", "--r", "1", "--x", "{2,3}", "--y", "{1,2}",
           "--list"], CONFIGS_TEXT),
+        (["configs", "--n", "3", "--s", "2", "--r", "1", "--x", "{2,3}", "--y", "{1,2}",
+          "--flavor", "overline", "--list"], CONFIGS_EMPTY_TEXT),
     ],
-    ids=["board", "configs-list"],
+    ids=["board", "configs-list", "configs-empty-list"],
 )
 def test_text_record_prints_lists_on_one_line(capsys, argv, lines):
     code, out, _ = run(capsys, "--format", "text", *argv)

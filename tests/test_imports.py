@@ -1,11 +1,20 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+numpy is loaded only by the routes that use it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).parents[1] / "src" / "descentpoly"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+# `verify` vectorizes its sweeps and is imported only by the commands that
+# run them; every other module imports numpy inside the function using it.
+NUMPY_AT_MODULE_LEVEL = {"verify.py"}
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -27,12 +36,82 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(imported - used - exported)
 
 
+def _module_level_imports(source: str) -> set[str]:
+    """Top-level packages imported outside every function body, absolute
+    imports only (``from . import x`` names no package)."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.update(a.name.split(".")[0] for a in child.names)
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                found.add(child.module.split(".")[0])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
 def test_the_check_sees_a_dead_import():
     source = "import os\nimport numpy as np\nfrom x import y, z\nprint(y, np.e)\n"
     assert _unused_imports(source) == ["os", "z"]
     assert _unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_dead_imports(module):
     assert _unused_imports(module.read_text()) == []
+
+
+def test_the_check_sees_a_module_level_import():
+    source = (
+        "import os.path\nfrom numpy import array\nfrom . import stats\n"
+        "if True:\n    import json\n"
+        "class A:\n    import re\n"
+        "def f():\n    import random\n"
+    )
+    assert _module_level_imports(source) == {"os", "numpy", "json", "re"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
+def test_numpy_is_imported_at_module_level_only_by_verify(module):
+    imports = _module_level_imports(module.read_text())
+    assert ("numpy" in imports) == (module.name in NUMPY_AT_MODULE_LEVEL)
+
+
+# Every command but hypergeom, verify and the brute force of S_n, run in
+# one fresh interpreter: none may load numpy.  Brute force over S_n then must.
+NUMPY_FREE_RUN = """
+import contextlib, io, sys
+import descentpoly
+from descentpoly import cli
+commands = [
+    "poly --n 6 --x {2,3,4,6} --y {1,4} --method recursion",
+    "poly --n 6 --x {2,3,4,6} --y {1,4} --method formula1",
+    "poly --n 6 --x {2,3,4,6} --y {1,4} --method rook",
+    "xyz --n 8 --x all --y all --z {1} --method rook",
+    "word-poly --rho 2,3,1,2 --x {2,4} --y {1,2}",
+    "word-poly --rho 2,2,1 --x {2} --y all --method brute",
+    "q-poly --n 5 --x {2,3}",
+    "board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}",
+    "foata --perm 61437258",
+    "configs --n 3 --s 2 --r 1 --x {2,3} --y {1,2} --list",
+]
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(command.split()) == 0, command
+    assert "numpy" not in sys.modules, command
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main("poly --n 6 --x all --y all --method brute".split()) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_commands_without_a_numpy_route_never_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
