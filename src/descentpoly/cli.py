@@ -51,7 +51,8 @@ def _emit(record: dict, fmt: str):
 
 def _emit_text_value(value, indent=""):
     """A result dict, keys sorted; each list in it prints on one line, an
-    empty one as `[]`, as in the JSON record."""
+    empty one as `[]` and an empty string in one as `""`, as in the JSON
+    record."""
     if isinstance(value, dict):
         for key in sorted(value, key=str):
             inner = value[key]
@@ -61,7 +62,7 @@ def _emit_text_value(value, indent=""):
             else:
                 print(f"{indent}{key}: {inner}")
     else:
-        print(indent + (" ".join(str(v) for v in value) if value else "[]"))
+        print(indent + (" ".join(str(v) or '""' for v in value) if value else "[]"))
 
 
 def _query(args, inputs: dict) -> DescentQuery:

@@ -18,8 +18,10 @@ correspond to sequences with the prescribed number of descents.
 Both rules act gap by gap: gap g (0..len(sequence)) holds the signs between
 letter g and letter g + 1.  Since a '-' may only open its gap, a legal array
 is its sequence plus a sign layout: the gaps that open with a '-' and the
-number of '+'s in each gap.  Configurations are stored that way, and their
-item tuples are built only when read.
+number of '+'s in each gap.  Configurations are stored that way, their
+item tuples are built only when read, and configurations with the same
+layout and required gaps share one layout object, which keeps the
+involution's image of that layout once it is computed.
 """
 
 from __future__ import annotations
@@ -65,33 +67,52 @@ CapError = CapExceededError  # the package's one cap error, by this module's nam
 _new = object.__new__
 
 
+class _Layout:
+    """A sign layout and its required gaps (see `Configuration`), shared by
+    every configuration that carries it.  `_layout` interns each layout whose
+    '-'s open their gaps; a layout with a stray '-' has `minus_mask` None and
+    is never interned.  `image` is None until `involution` first flips the
+    layout: then it is the interned layout that `_flip` maps this one to, or
+    the layout itself at a fixed point.  An illegal layout never gets one.
+    """
+
+    __slots__ = ("minus_mask", "plus_by_gap", "required_mask", "minus_count", "image")
+
+    def __init__(self, minus_mask, plus_by_gap, required_mask, minus_count):
+        self.minus_mask = minus_mask
+        self.plus_by_gap = plus_by_gap
+        self.required_mask = required_mask
+        self.minus_count = minus_count
+        self.image = None
+
+
+@lru_cache(maxsize=1 << 16)
+def _layout(minus_mask: int, plus_by_gap: tuple, required_mask: int) -> _Layout:
+    """The shared layout object; bounded like `_flip`, so an evicted layout
+    lives on in its configurations and an equal one may be made again."""
+    return _Layout(minus_mask, plus_by_gap, required_mask, minus_mask.bit_count())
+
+
 class Configuration:
-    """An array of letters and signs, held as its sign layout.
+    """An array of letters and signs, held as its sequence and sign layout.
 
     `Configuration(items, flavor, tops, bottoms)` parses an item tuple (ints
     and the strings '+' / '-').  Bit g of `minus_mask` is set when gap g opens
     with a '-', `plus_by_gap[g]` counts the '+'s in gap g, and bit g of
-    `required_mask` is set when the flavor's rules ask gap g for a '+'.  An
-    array with a '-' that does not open its gap has no sign layout: it keeps
-    its items, its `minus_mask` is None, and `involution` rejects it.
-    Letters must be positive integers (InputError otherwise); whether they
-    belong to the class, 1..n for S_n, is the caller's check, as in the
-    CLI's `configs --trace`.
+    `required_mask` is set when the flavor's rules ask gap g for a '+'; all
+    three are read off the layout, which configurations with the same signs
+    in the same gaps share.  An array with a '-' that does not open its gap
+    has no sign layout: it keeps its items, its `minus_mask` is None, and
+    `involution` rejects it.  Letters must be positive integers (InputError
+    otherwise); whether they belong to the class, 1..n for S_n, is the
+    caller's check, as in the CLI's `configs --trace`.
 
-    Equality and hashing follow the encoding.  Treat instances as frozen:
-    the only slot written after construction is the cache behind `items`.
+    Equality and hashing follow the encoding, whether or not two layouts are
+    the same object.  Treat instances as frozen: after construction only the
+    cache behind `items` is written, and the shared layout's `image`, once.
     """
 
-    __slots__ = (
-        "sequence",
-        "minus_mask",
-        "plus_by_gap",
-        "required_mask",
-        "flavor",
-        "tops",
-        "bottoms",
-        "_items",
-    )
+    __slots__ = ("sequence", "_layout", "flavor", "tops", "bottoms", "_items")
 
     def __init__(self, items, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet):
         items = tuple(items)
@@ -116,55 +137,74 @@ class Configuration:
             else:
                 minus_mask = None
             opens_gap = False
+        required = _required_mask(seq, flavor, tops, bottoms)
+        if minus_mask is None:
+            layout = _Layout(None, tuple(plus), required, items.count(MINUS))
+        else:
+            layout = _layout(minus_mask, tuple(plus), required)
         self.sequence = seq
-        self.minus_mask = minus_mask
-        self.plus_by_gap = tuple(plus)
-        self.required_mask = _required_mask(seq, flavor, tops, bottoms)
+        self._layout = layout
         self.flavor = flavor
         self.tops = tops
         self.bottoms = bottoms
         self._items = items
 
     @property
+    def minus_mask(self):
+        return self._layout.minus_mask
+
+    @property
+    def plus_by_gap(self) -> tuple:
+        return self._layout.plus_by_gap
+
+    @property
+    def required_mask(self) -> int:
+        return self._layout.required_mask
+
+    @property
     def items(self) -> tuple:
         if self._items is None:
-            self._items = _assemble(self.sequence, self.minus_mask, self.plus_by_gap)
+            layout = self._layout
+            self._items = _assemble(self.sequence, layout.minus_mask, layout.plus_by_gap)
         return self._items
 
     @property
     def plus_count(self) -> int:
-        return sum(self.plus_by_gap)
+        return sum(self._layout.plus_by_gap)
 
     @property
     def minus_count(self) -> int:
-        if self.minus_mask is None:
-            return self._items.count(MINUS)
-        return self.minus_mask.bit_count()
+        return self._layout.minus_count
 
     @property
     def sign(self) -> int:
-        return -1 if self.minus_count & 1 else 1
+        return -1 if self._layout.minus_count & 1 else 1
 
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
+        a, b = self._layout, other._layout
         return (
-            self.minus_mask == other.minus_mask
-            and self.plus_by_gap == other.plus_by_gap
+            (
+                a is b
+                or a.minus_mask == b.minus_mask
+                and a.plus_by_gap == b.plus_by_gap
+            )
+            and (a.minus_mask is not None or self._items == other._items)
             and self.sequence == other.sequence
-            and (self.minus_mask is not None or self._items == other._items)
             and self.flavor is other.flavor
             and (self.tops is other.tops or self.tops == other.tops)
             and (self.bottoms is other.bottoms or self.bottoms == other.bottoms)
         )
 
     def __hash__(self) -> int:
-        stray = self._items if self.minus_mask is None else None
+        layout = self._layout
+        stray = self._items if layout.minus_mask is None else None
         return hash(
             (
                 self.sequence,
-                self.minus_mask,
-                self.plus_by_gap,
+                layout.minus_mask,
+                layout.plus_by_gap,
                 stray,
                 self.flavor,
                 self.tops,
@@ -182,13 +222,11 @@ class Configuration:
         return config_to_str(self)
 
 
-def _layout_config(seq, minus_mask, plus_by_gap, required_mask, flavor, tops, bottoms):
+def _layout_config(seq, layout, flavor, tops, bottoms):
     """A configuration straight from a legal sign layout, skipping the parse."""
     config = _new(Configuration)
     config.sequence = seq
-    config.minus_mask = minus_mask
-    config.plus_by_gap = plus_by_gap
-    config.required_mask = required_mask
+    config._layout = layout
     config.flavor = flavor
     config.tops = tops
     config.bottoms = bottoms
@@ -198,9 +236,10 @@ def _layout_config(seq, minus_mask, plus_by_gap, required_mask, flavor, tops, bo
 
 def _legal(config: Configuration) -> bool:
     """Every '-' opens its gap and every required gap holds a '+'."""
+    layout = config._layout
     return (
-        config.minus_mask is not None
-        and _flip(config.minus_mask, config.plus_by_gap, config.required_mask)
+        layout.minus_mask is not None
+        and _flip(layout.minus_mask, layout.plus_by_gap, layout.required_mask)
         is not None
     )
 
@@ -245,17 +284,20 @@ def involution(config: Configuration) -> Configuration:
     required-plus gap or holds another '+'.  On the layout, the first
     flippable sign is the first sign of the first gap that opens with a
     '-', or holds two '+'s, or holds a '+' without being required; `_flip`
-    finds it from the layout alone.
+    finds it from the layout alone, the first time the layout is flipped.
     """
-    minus = config.minus_mask
-    required = config.required_mask
-    image = None if minus is None else _flip(minus, config.plus_by_gap, required)
+    layout = config._layout
+    image = layout.image
     if image is None:
-        raise MalformedConfigurationError(str(config))
-    if not image:
+        minus, required = layout.minus_mask, layout.required_mask
+        flipped = None if minus is None else _flip(minus, layout.plus_by_gap, required)
+        if flipped is None:
+            raise MalformedConfigurationError(str(config))
+        image = layout.image = _layout(*flipped, required) if flipped else layout
+    if image is layout:
         return config
     return _layout_config(
-        config.sequence, *image, required, config.flavor, config.tops, config.bottoms
+        config.sequence, image, config.flavor, config.tops, config.bottoms
     )
 
 
@@ -364,12 +406,12 @@ def _configs_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
         required = _required_mask(seq, flavor, tops, bottoms)
         layouts = layouts_by_required.get(required)
         if layouts is None:
-            layouts = _sign_layouts(length + 1, r, n_minus, required)
+            layouts = [
+                _layout(minus, plus, required)
+                for minus, plus in _sign_layouts(length + 1, r, n_minus, required)
+            ]
             layouts_by_required[required] = layouts
-        yield [
-            _layout_config(seq, minus, plus, required, flavor, tops, bottoms)
-            for minus, plus in layouts
-        ]
+        yield [_layout_config(seq, layout, flavor, tops, bottoms) for layout in layouts]
 
 
 def fixed_point_from_seq(seq, flavor: Flavor, tops, bottoms) -> Configuration:
@@ -380,8 +422,8 @@ def fixed_point_from_seq(seq, flavor: Flavor, tops, bottoms) -> Configuration:
     """
     seq = tuple(seq)
     required = _required_mask(seq, flavor, tops, bottoms)
-    layout = tuple(required >> g & 1 for g in range(len(seq) + 1))
-    return _layout_config(seq, 0, layout, required, flavor, tops, bottoms)
+    plus = tuple(required >> g & 1 for g in range(len(seq) + 1))
+    return _layout_config(seq, _layout(0, plus, required), flavor, tops, bottoms)
 
 
 def staged_count(

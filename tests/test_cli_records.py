@@ -314,6 +314,23 @@ CONFIGS_EMPTY_TEXT = [
     "  staged_count: 0",
 ]
 
+# The one configuration of S_0 is the empty array: it prints as `""`, as in
+# the JSON, not as a line of bare indent.
+CONFIGS_EMPTY_STRING_TEXT = [
+    "command: configs",
+    "  n: 0",
+    "  s: 0",
+    "  r: 0",
+    "  x: all",
+    "  y: all",
+    "  flavor: standard",
+    "method: enumeration",
+    "  configurations:",
+    '    ""',
+    "  count: 1",
+    "  staged_count: 1",
+]
+
 
 @pytest.mark.parametrize(
     "argv, lines",
@@ -323,8 +340,10 @@ CONFIGS_EMPTY_TEXT = [
           "--list"], CONFIGS_TEXT),
         (["configs", "--n", "3", "--s", "2", "--r", "1", "--x", "{2,3}", "--y", "{1,2}",
           "--flavor", "overline", "--list"], CONFIGS_EMPTY_TEXT),
+        (["configs", "--n", "0", "--s", "0", "--r", "0", "--x", "all", "--y", "all",
+          "--list"], CONFIGS_EMPTY_STRING_TEXT),
     ],
-    ids=["board", "configs-list", "configs-empty-list"],
+    ids=["board", "configs-list", "configs-empty-list", "configs-empty-string"],
 )
 def test_text_record_prints_lists_on_one_line(capsys, argv, lines):
     code, out, _ = run(capsys, "--format", "text", *argv)

@@ -3,15 +3,19 @@
 `involution` works on the layout (which gaps open with a '-', how many '+'s
 each gap holds).  These tests read the module docstring's rule directly off
 the item tuple, check that arrays built item by item are rejected as
-before, and that parsed and enumerated configurations are the same objects.
+before, that parsed and enumerated configurations are the same objects,
+and that configurations sharing one interned layout behave as if each held
+its own.
 """
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 from operator import add
 
 import pytest
 
+from descentpoly import configurations
 from descentpoly.configurations import (
     MINUS,
     PLUS,
@@ -19,6 +23,8 @@ from descentpoly.configurations import (
     Flavor,
     MalformedConfigurationError,
     _conditions_hold,
+    _flip,
+    _layout,
     _required_mask,
     _sign_layouts,
     config_from_str,
@@ -191,3 +197,69 @@ def test_required_gaps_follow_the_matching_descents(flavor, tops, bottoms):
         else:
             gaps = {g for g, v in enumerate(seq, 1) if v in tops} - descents
         assert _required_mask(seq, flavor, tops, bottoms) == sum(1 << g for g in gaps)
+
+
+class TestSharedLayouts:
+    tops = explicit_set([2, 3, 5, 6])
+    bottoms = explicit_set([1, 3])
+
+    def _class(self):
+        return enumerate_configs(Flavor.STANDARD, 2, 2, self.tops, self.bottoms, n=5)
+
+    def test_equal_layouts_in_distinct_objects_compare_and_hash_alike(self):
+        # clearing the table is what eviction does to a layout still in use
+        first = self._class()
+        _layout.cache_clear()
+        second = self._class()
+        assert len(first) == len(second) > 0
+        for a, b in zip(first, second):
+            assert a._layout is not b._layout
+            assert a == b and b == a
+            assert hash(a) == hash(b)
+        assert len(set(first) | set(second)) == len(first)
+
+    def test_self_inverse_across_a_cleared_table(self):
+        configs = self._class()
+        images = [involution(c) for c in configs]
+        _layout.cache_clear()
+        for c, image in zip(configs, images):
+            back = involution(image)
+            assert back == c
+            assert hash(back) == hash(c)
+
+    @pytest.mark.parametrize(
+        "items",
+        [(5, "+", "-", 2, 4, 6, "+", 1, 3), ("-", 5, "+", 2, 4, 6, 1, 3)],
+        ids=["stray-minus", "missing-plus"],
+    )
+    def test_illegal_layout_raises_on_every_call_and_keeps_no_image(self, items):
+        c = Configuration(items, Flavor.STANDARD, self.tops, self.bottoms)
+        for _ in range(3):
+            with pytest.raises(MalformedConfigurationError):
+                involution(c)
+            assert c._layout.image is None
+
+    def test_intern_table_is_bounded(self):
+        assert _layout.cache_info().maxsize is not None
+        assert _layout.cache_info().maxsize > 0
+
+    def test_flip_runs_once_per_distinct_layout(self, monkeypatch):
+        calls = Counter()
+
+        def counted(*layout):
+            calls[layout] += 1
+            return _flip(*layout)
+
+        monkeypatch.setattr(configurations, "_flip", counted)
+        _layout.cache_clear()
+        configs = self._class()
+        images = [involution(c) for c in configs]
+        back = [involution(image) for image in images]
+        assert back == configs
+        layouts = {
+            (c.minus_mask, c.plus_by_gap, c.required_mask) for c in configs + images
+        }
+        assert set(calls) == layouts
+        assert max(calls.values()) == 1
+        # sequences share layouts, so there are fewer flips than involutions
+        assert sum(calls.values()) < 2 * len(configs)
