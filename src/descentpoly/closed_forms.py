@@ -7,6 +7,13 @@ generating function, read from the bottom and from the top degree.
 Product factors in the second may be zero or negative for individual
 terms; all arithmetic is exact so the cancellations are exact too.
 
+The whole polynomial is prefactor · (1 − x)^(N+1) · Σ_r w_r x^r, truncated
+at its top degree D.  ``ClosedForm.polynomial`` builds the weights w_0..w_D
+and multiplies by (1 − x) N + 1 times, each time one list of subtractions:
+the repeated differences of Stanley, EC1 §4.3, which read A(x) off
+Σ_r f(r) x^r = A(x)/(1 − x)^(d+1).  ``terms`` and ``coefficient`` keep the
+binomial sum of one coefficient, Σ_(r≤k) (−1)^(k−r) C(N+1, k−r) w_r.
+
 Kitaev and Remmel's sums are these forms at X = kℕ, Y = all (tops) or at
 X = all, Y = kℕ (bottoms), and the Eulerian sum is them at X = Y = all.
 """
@@ -14,8 +21,8 @@ X = all, Y = kℕ (bottoms), and the Eulerian sum is them at X = Y = all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import factorial, prod
-from operator import mul
+from math import comb, factorial, prod
+from operator import sub
 
 from .perms import InputError, check_size
 from .polynomials import IntPolynomial, binom, multinomial
@@ -40,13 +47,6 @@ __all__ = [
 def _signed_binom(n: int, k: int) -> int:
     """The x^k coefficient of (1 − x)^(n+1)."""
     return (-1) ** k * binom(n + 1, k)
-
-
-def _alternating_sum(prefactor: int, n: int, weights: list[int]) -> list[int]:
-    """prefactor · [x^0..x^D] (1 − x)^(n+1) · Σ_r w_r x^r, D = len(weights) − 1:
-    coefficient k is Σ_{r≤k} (−1)^(k−r) C(n+1, k−r) w_r."""
-    row = [_signed_binom(n, k) for k in range(len(weights))]
-    return [prefactor * sum(map(mul, weights, row[k::-1])) for k in range(len(row))]
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,22 @@ class ClosedForm:
         return self.prefactor * sum(self.terms(s))
 
     def polynomial(self) -> IntPolynomial:
-        """Coefficients s = 0..N (formula 1) or 0..L (formula 2) at once."""
+        """Coefficients s = 0..N (formula 1) or 0..L (formula 2) at once.
+
+        The weights w_0..w_D, times (1 − x)^(N+1) truncated at degree D: N + 1
+        passes of p_k ← p_k − p_(k−1), subtractions only."""
+        c, offsets = self.c, self.offsets
         top = self.top_mass if self.second else self.n
-        weights = [self.weight(r) for r in range(top + 1)]
-        coeffs = _alternating_sum(self.prefactor, self.n, weights)
-        return IntPolynomial.from_coeffs(coeffs[::-1] if self.second else coeffs)
+        p = [
+            comb(c + r, r)
+            * prod([comb(r + o, part) if r + o >= 0 else 0 for part, o in offsets])
+            for r in range(top + 1)
+        ]
+        for _ in range(self.n + 1):
+            p[1:] = map(sub, p[1:], p[:-1])
+        if self.prefactor != 1:
+            p = [self.prefactor * v for v in p]
+        return IntPolynomial.from_coeffs(p[::-1] if self.second else p)
 
 
 def permutation_form(

@@ -8,16 +8,23 @@ than add / multiply / evaluate / specialize.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
+from math import comb, factorial, perm, prod
 
 __all__ = ["IntPolynomial", "BivarPolynomial", "poch", "binom", "multinomial"]
 
 
 def poch(a: int, r: int) -> int:
-    """Rising factorial a (a+1) ... (a+r-1); empty product for r = 0."""
+    """Rising factorial a (a+1) ... (a+r-1); empty product for r = 0.
+
+    In closed form: (a+r-1)!/(a-1)! for a > 0, zero when the factors cross
+    0, and (-1)^r (-a)!/(-a-r)! when every factor is negative or r = 0."""
     if r < 0:
         raise ValueError("rising factorial needs r >= 0")
-    return prod(a + i for i in range(r))
+    if a > 0:
+        return perm(a + r - 1, r)
+    if a + r > 0:
+        return 0
+    return (-1) ** r * perm(-a, r)
 
 
 def binom(p: int, q: int) -> int:
@@ -35,7 +42,7 @@ def binom(p: int, q: int) -> int:
 
 def multinomial(parts) -> int:
     parts = list(parts)
-    return factorial(sum(parts)) // prod(factorial(p) for p in parts)
+    return factorial(sum(parts)) // prod(map(factorial, parts))
 
 
 class IntPolynomial:

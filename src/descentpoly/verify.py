@@ -81,8 +81,9 @@ def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
     ``classes``: the class R(rho), walked by ``words.enumerate_rearrangements``
     (so past its cap this raises CapExceededError), every (X, Y) pair of
     subsets of the letters 1..len(rho), every s up to the word length.  Both
-    forms are ``words.word_form(rho, X, Y, second)``; a failure reports
-    ``head`` and the two values under ``names``."""
+    forms are ``words.word_form(rho, X, Y, second)``, and equal forms of one
+    class share one ``.polynomial()``; a failure reports ``head`` and the two
+    values under ``names``."""
     checked = 0
     for head, rho in classes:
         seqs = list(words.enumerate_rearrangements(rho))
@@ -90,13 +91,18 @@ def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
         d = _pair_matrix(seqs, m)
         subsets = _subsets(m)
         yvecs = np.stack([vec for vec, _ in subsets])
+        polys = {}  # equal forms of this class share one polynomial
         for xvec, xset in subsets:
             hist = _brute_distributions(d, m, xvec, yvecs)
-            for yidx, (_, yset) in enumerate(subsets):
-                poly1 = words.word_form(rho, xset, yset, False).polynomial()
-                poly2 = words.word_form(rho, xset, yset, True).polynomial()
+            for row, (_, yset) in zip(hist.tolist(), subsets):
+                form1 = words.word_form(rho, xset, yset, False)
+                form2 = words.word_form(rho, xset, yset, True)
+                for form in (form1, form2):
+                    if form not in polys:
+                        polys[form] = form.polynomial()
+                poly1, poly2 = polys[form1], polys[form2]
                 for s in range(len(seqs[0]) + 1):
-                    brute = int(hist[yidx, s]) if s < hist.shape[1] else 0
+                    brute = row[s] if s < len(row) else 0
                     f1, f2 = poly1.coeff(s), poly2.coeff(s)
                     if not (f1 == f2 == brute):
                         raise VerificationError(

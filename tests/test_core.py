@@ -1,5 +1,7 @@
 """Sets, permutations, and exact polynomial arithmetic."""
 
+from math import prod
+
 import pytest
 
 from descentpoly.perms import (
@@ -96,6 +98,15 @@ class TestScalars:
         assert poch(-2, 3) == 0
         assert poch(-2, 2) == 2
         assert poch(7, 0) == 1
+
+    def test_poch_closed_form_matches_its_product(self):
+        for a in range(-30, 31):
+            for r in range(-30, 31):
+                if r < 0:
+                    with pytest.raises(ValueError, match="r >= 0"):
+                        poch(a, r)
+                else:
+                    assert poch(a, r) == prod(a + i for i in range(r)), (a, r)
 
     def test_binom(self):
         assert binom(7, 3) == 35

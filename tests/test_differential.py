@@ -1,6 +1,7 @@
 """The closed forms' whole polynomials against every other route, on random
 sets and compositions, and the size checks shared by every route."""
 
+from itertools import product
 from math import factorial
 
 import pytest
@@ -79,11 +80,53 @@ def test_word_kernels_match_enumeration(rho, tops, bottoms):
         assert word_formula_2(rho, s, tops, bottoms) == poly2.coeff(s)
 
 
-def test_both_formulas_equal_the_recursion_at_n200():
+GRID_SETS = [
+    explicit_set([2, 3, 5, 8, 11]),
+    residue_set(3, (0, 2)),
+    at_least(4),
+    SetUnion((explicit_set([1]), residue_set(4, (0,)))),
+    explicit_set([]),
+    ALL,
+]
+GRID_RHOS = [(0,), (2, 0, 1), (1, 0, 0, 3), (0, 2, 2, 0), (3, 1, 0, 2)]
+
+
+@pytest.mark.parametrize("second", [False, True], ids=["formula1", "formula2"])
+def test_permutation_polynomial_is_its_coefficients_on_a_grid(second):
+    """The difference passes give the per-s binomial sums, at every n of the
+    grid and every kind of set."""
+    for n, tops, bottoms in product(range(13), GRID_SETS, GRID_SETS):
+        form = permutation_form(n, tops, bottoms, second)
+        poly = form.polynomial()
+        assert [poly.coeff(s) for s in range(n + 2)] == [
+            form.coefficient(s) for s in range(n + 2)
+        ], (n, str(tops), str(bottoms))
+
+
+@pytest.mark.parametrize("second", [False, True], ids=["formula1", "formula2"])
+def test_word_polynomial_is_its_coefficients_on_a_grid(second):
+    for rho, tops, bottoms in product(GRID_RHOS, GRID_SETS, GRID_SETS):
+        form = word_form(rho, tops, bottoms, second)
+        poly = form.polynomial()
+        size = sum(rho) + 2
+        assert [poly.coeff(s) for s in range(size)] == [
+            form.coefficient(s) for s in range(size)
+        ], (rho, str(tops), str(bottoms))
+
+
+def _both_formulas_equal_the_recursion(n):
     tops, bottoms = parse_set("mod:6:0,1,4"), parse_set("mod:5:0,2")
-    recursion = recursion_bivar(200, tops, bottoms).specialize_second(1)
-    assert permutation_form(200, tops, bottoms).polynomial() == recursion
-    assert permutation_form(200, tops, bottoms, second=True).polynomial() == recursion
+    recursion = recursion_bivar(n, tops, bottoms).specialize_second(1)
+    assert permutation_form(n, tops, bottoms).polynomial() == recursion
+    assert permutation_form(n, tops, bottoms, second=True).polynomial() == recursion
+
+
+def test_both_formulas_equal_the_recursion_at_n200():
+    _both_formulas_equal_the_recursion(200)
+
+
+def test_both_formulas_equal_the_recursion_at_n800():
+    _both_formulas_equal_the_recursion(800)
 
 
 @pytest.mark.parametrize(

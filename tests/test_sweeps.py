@@ -12,6 +12,7 @@ import pytest
 
 from descentpoly import configurations, hypergeom, rook, stats, verify, words
 from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
+from descentpoly.closed_forms import ClosedForm
 from descentpoly.configurations import Configuration
 from descentpoly.sets import ALL, residue_set
 from descentpoly.stats import CapExceededError, DescentQuery
@@ -62,6 +63,36 @@ def test_closed_form_sweep_failure_record(monkeypatch, sweep, message, payload):
         sweep(3)
     assert str(info.value) == message
     assert list(info.value.payload.items()) == list(payload.items())
+
+
+@pytest.mark.parametrize(
+    "sweep, cases", [(verify.sweep_formulas, 1592), (verify.sweep_words, 2968)],
+    ids=["formulas", "words"],
+)
+def test_closed_form_sweep_evaluates_each_distinct_form_once(monkeypatch, sweep, cases):
+    """Each (X, Y) pair builds both of its forms, equal forms of one class
+    share one polynomial, and every case is still checked once."""
+    built, evaluated = {}, {}  # rho -> forms, in call order
+    word_form, polynomial = words.word_form, ClosedForm.polynomial
+
+    def recorded_form(rho, *args):
+        form = word_form(rho, *args)
+        built.setdefault(rho, []).append(form)
+        evaluated.setdefault(rho, [])
+        return form
+
+    def recorded_polynomial(form):
+        evaluated[next(reversed(built))].append(form)  # the class being swept
+        return polynomial(form)
+
+    monkeypatch.setattr(words, "word_form", recorded_form)
+    monkeypatch.setattr(ClosedForm, "polynomial", recorded_polynomial)
+    assert sweep(4) == cases
+    for rho, forms in built.items():
+        assert len(forms) == 2 * 4 ** len(rho)
+        assert len(evaluated[rho]) == len(set(evaluated[rho])) == len(set(forms))
+        assert set(evaluated[rho]) == set(forms)
+    assert sum(map(len, evaluated.values())) < sum(map(len, built.values()))
 
 
 def _plus_one(real):
