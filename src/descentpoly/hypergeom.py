@@ -52,7 +52,8 @@ class HypergeometricSpec:
             )
         return min(nonpos)
 
-    def validate(self):
+    def validate(self) -> int:
+        """The termination index, once no denominator vanishes before it."""
         r_max = self.termination_index()
         for b in self.denominator:
             # (b)_r is zero for r > -b when b <= 0
@@ -60,6 +61,7 @@ class HypergeometricSpec:
                 raise IllPosedSeriesError(
                     f"denominator parameter {b} vanishes before termination at {r_max}"
                 )
+        return r_max
 
 
 def eval_terminating(spec: HypergeometricSpec) -> Fraction:
@@ -70,9 +72,8 @@ def eval_terminating(spec: HypergeometricSpec) -> Fraction:
     validate() rules out d_r = 0.  The partial sums stay one integer
     numerator over den = d_1 ... d_r: acc <- acc d_r + n_1 ... n_r.
     """
-    spec.validate()
     acc = den = term = 1
-    for r in range(1, spec.termination_index() + 1):
+    for r in range(1, spec.validate() + 1):
         step = r * prod(b + r - 1 for b in spec.denominator)
         term *= prod(a + r - 1 for a in spec.numerator)
         acc = acc * step + term

@@ -71,6 +71,9 @@ class Explicit(IntegerSet):
     def contains(self, z: int) -> bool:
         return z in self._lookup
 
+    # every member is >= 1, so the base class's z >= 1 test is implied
+    __contains__ = contains
+
     def __str__(self) -> str:
         return "{" + ",".join(str(z) for z in self.members) + "}"
 

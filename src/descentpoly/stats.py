@@ -88,16 +88,20 @@ def _check_cap(n: int, limit: int):
         )
 
 
-BLOCK_SIZE = 8  # a block holds the 8! orders of the last 8 values; pair indices < 64 fit int8
+BLOCK_SIZE = 8  # a block holds the 8! orders of the last 8 values
+WINDOW = 5  # positions per window: a window table has k^5 = 32,768 cells at k = 8
 
 
 @lru_cache(maxsize=None)
 def _block(k: int) -> tuple:
-    """All of S_k over the labels 0..k-1, one int8 row each, built by
-    inserting k-1 into every slot of S_{k-1}; and, one int8 row per
-    position i < k-1, the flat index u*k + v into a k x k table of the
-    pair (u, v) each permutation has at positions i, i+1.  Both are
-    read-only numpy arrays."""
+    """S_k over the labels 0..k-1, as read-only intp arrays with one entry
+    per permutation: its first label, and, per window of WINDOW
+    consecutive positions (consecutive windows share one position, so
+    every adjacent pair lies in exactly one window), the flat index
+    Σ u_i·k^(w-1-i) of the labels u_0..u_(w-1) it has there.  Returns
+    (first, windows), windows as (w, index) pairs; windows of fewer than
+    two positions hold no pair and are left out.  S_k is built by
+    inserting k-1 into every slot of S_{k-1}."""
     import numpy as np
 
     perms = np.zeros((1, 0), dtype=np.int8)
@@ -110,10 +114,18 @@ def _block(k: int) -> tuple:
             part[:, slot] = v
             part[:, slot + 1:] = perms[:, slot:]
         perms = new
-    pairs = (perms[:, :-1] * k + perms[:, 1:]).T.copy()
-    perms.setflags(write=False)
-    pairs.setflags(write=False)
-    return perms, pairs
+    first = perms[:, 0].astype(np.intp) if k else np.zeros(1, dtype=np.intp)
+    windows = []
+    for start in range(0, k - 1, WINDOW - 1):
+        cols = perms[:, start:start + WINDOW]
+        index = cols[:, 0].astype(np.intp)
+        for col in cols.T[1:]:
+            index *= k
+            index += col
+        windows.append((cols.shape[1], index))
+    for array in (first, *(index for _, index in windows)):
+        array.setflags(write=False)
+    return first, windows
 
 
 def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
@@ -121,26 +133,32 @@ def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
 
     The query is asked once per pair a > b, into a table.  S_n is walked in
     blocks: for each ordered prefix of n - k values (k = min(n, 8)), the
-    block holds every order of the k values that remain, and each row is
-    counted from the table (the prefix's own pairs, the pair where prefix
-    and block join, and the block's pairs read through the remaining
-    values).  Every permutation is visited; memory stays at one block.
+    block holds every order of the k values that remain.  From the k x k
+    table sub of their matching pairs, the prefix builds, for each window
+    length w, the table t[u_0..u_(w-1)] = Σ sub[u_i, u_(i+1)] by broadcast
+    adds, and counts each row as the sum of t over its windows, plus the
+    pair where prefix and block join and the prefix's own pairs.  Every
+    permutation is counted; memory stays at one block.
     """
     import numpy as np
 
-    table = np.array(query.match_table(n), dtype=bool)
+    table = np.array(query.match_table(n), dtype=np.uint8)
     k = min(n, BLOCK_SIZE)
-    block, pairs = _block(k)
+    first, windows = _block(k)
     counts = [0] * (n + 1)
     values = range(1, n + 1)
     for prefix in permutations(values, n - k):
         rest = np.array(sorted(set(values).difference(prefix)), dtype=np.intp)
-        sub = table[np.ix_(rest, rest)].ravel()
-        rows = np.zeros(len(block), dtype=np.intp)
-        for at in pairs:
-            rows += sub[at]
+        sub = table[np.ix_(rest, rest)]
+        tables = {2: sub}
+        for w in range(3, min(k, WINDOW) + 1):
+            h = (w + 1) // 2  # the two halves share position h - 1
+            tables[w] = tables[h][(...,) + (None,) * (w - h)] + tables[w - h + 1]
+        rows = np.zeros(len(first), dtype=np.uint8)
+        for w, index in windows:
+            rows += tables[w].take(index)
         if prefix:
-            rows += table[prefix[-1], rest][block[:, 0]]
+            rows += table[prefix[-1], rest].take(first)
             rows += sum(table[a, b] for a, b in zip(prefix, prefix[1:]))
         block_counts = np.bincount(rows, minlength=n + 1).tolist()
         counts = list(map(add, counts, block_counts))

@@ -1,5 +1,6 @@
 """The blocked walk of S_n where blocks join (n = 8, 9, 10), below one
-block (n = 0, 1, 2), and at the cap."""
+block (n = 0, 1, 2), at every block size and window split (n = 0..8), past
+the cap (n = 11), and at the cap; and the size of the cached windows."""
 
 import random
 
@@ -11,6 +12,7 @@ from descentpoly.sets import ALL, EVENS, explicit_set, residue_set
 from descentpoly.stats import (
     CapExceededError,
     DescentQuery,
+    _block,
     brute_bivar,
     brute_poly,
     recursion_bivar,
@@ -72,3 +74,33 @@ def test_default_cap_still_holds():
         brute_poly(11, DescentQuery(ALL, ALL))
     with pytest.raises(CapExceededError, match="n <= 10"):
         brute_bivar(11, ALL, ALL)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_every_block_size(n):
+    # n <= 8 is one block of k = n: one window up to k = 5, two past it
+    rng = random.Random(300 + n)
+    for tops, bottoms in _pairs(n, rng):
+        expected = recursion_bivar(n, tops, bottoms)
+        assert brute_poly(n, DescentQuery(tops, bottoms)) == expected.specialize_second(1)
+        assert brute_bivar(n, tops, bottoms) == expected
+    for _ in range(3):
+        diffs = explicit_set(d for d in range(1, 8) if rng.random() < 0.5)
+        query = DescentQuery(_subset(n, rng, 0.7), _subset(n, rng, 0.7), diffs)
+        assert brute_poly(n, query) == hits_with_route(n, query)[0]
+
+
+def test_past_the_cap_on_request():
+    # three prefix values: every row's count must fit its uint8 array
+    tops, bottoms = residue_set(3, (0, 2)), ALL
+    expected = recursion_bivar(11, tops, bottoms).specialize_second(1)
+    assert brute_poly(11, DescentQuery(tops, bottoms), limit=11) == expected
+    assert brute_poly(11, DescentQuery(ALL, ALL), limit=11).coeff_list() == [
+        1, 2036, 152637, 2203488, 9738114, 15724248, 9738114, 2203488, 152637,
+        2036, 1,
+    ]
+
+
+def test_cached_windows_stay_small():
+    first, windows = _block(8)
+    assert sum(a.nbytes for a in (first, *(index for _, index in windows))) <= 1 << 20

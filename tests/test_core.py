@@ -1,5 +1,6 @@
 """Sets, permutations, and exact polynomial arithmetic."""
 
+import random
 from math import prod
 
 import pytest
@@ -48,6 +49,15 @@ class TestSets:
     def test_nonpositive_integers_never_members(self):
         for s in (ALL, EVENS, ODDS, at_least(1), explicit_set([1])):
             assert 0 not in s and -2 not in s
+
+    def test_explicit_membership_is_the_positive_members(self):
+        rng = random.Random(7)
+        for size in (0, 1, 5, 12):
+            members = rng.sample(range(1, 40), size)
+            s = explicit_set(members)
+            for z in (0, -1, -rng.randrange(2, 50), True, False,
+                      *members, *range(-3, 45)):
+                assert (z in s) == (z >= 1 and z in members), (members, z)
 
     def test_parse_round_trip(self):
         for text in ("all", "{2,3,5}", "mod:2:0", "geq:4", "{1}|mod:3:0,1", "{}"):
