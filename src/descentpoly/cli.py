@@ -168,8 +168,12 @@ def cmd_configs(args, inputs: dict) -> dict:
 def cmd_qpoly(args, inputs: dict) -> dict:
     tops = parse_set(args.x)
     inputs.update(n=args.n, x=str(tops))
-    poly = stats.q_recursion(args.n, tops)
-    payload = {f"{eq},{ex}": str(c) for (eq, ex), c in poly.items()}
+    payload = {
+        f"{eq},{s}": str(v)
+        for s, p in enumerate(stats._q_lists(args.n, tops))
+        for eq, v in enumerate(p)
+        if v
+    }
     return {"coefficients_q_x": payload}
 
 

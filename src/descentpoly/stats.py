@@ -235,44 +235,86 @@ def coefficient_recursion_bivar(
     return BivarPolynomial({(s, t): v for s, v in enumerate(old)})
 
 
-def _q_step(pa: list[int], pb: list[int], s: int, m: int) -> list[int]:
-    """Dense q-coefficients of new = [s+1]_q·a + q^s·[m+1-s]_q·b, given the
-    prefix sums pa, pb of a, b.  As (1 - q)·[k]_q = 1 - q^k, new is the
-    prefix sum of (1 - q^(s+1))·a + (q^s - q^(m+1))·b: by linearity, four
-    shifted copies of pa and pb, each held at its total past its end."""
-    size = max(len(pa) + s, len(pb) + m)
-    ta, tb = pa[-1] if pa else 0, pb[-1] if pb else 0
-    plus = map(add, chain(pa, repeat(ta, size - len(pa))),
-               chain(repeat(0, s), pb, repeat(tb)))
-    minus = map(add, chain(repeat(0, s + 1), pa, repeat(ta)),
-                chain(repeat(0, m + 1), pb, repeat(tb)))
-    new = list(map(sub, plus, minus))
-    while new and not new[-1]:
-        new.pop()
-    return new
+def _cum(p: list[int], off: int, start: int, h: int):
+    """h values of the prefix sums p of a list that starts at q^off, read
+    from q^start up: 0 below q^off, and the total p[-1] past the end."""
+    i = start - off
+    zeros = min(max(-i, 0), h)
+    part = p[max(i, 0):max(i + h, 0)]
+    return chain(repeat(0, zeros), part, repeat(p[-1], h - zeros - len(part)))
+
+
+def _q_lists(n: int, tops: IntegerSet) -> list[list[int]]:
+    """c[s], the coefficient of x^s, as a dense list of q-coefficients.
+
+    Inserting m+1 into the permutations of [m], the new x^s is
+    [s+1]_q·a + q^s·[m+1-s]_q·b with a, b = c[s], c[s-1] if m+1 is a
+    potential top, else c[s+1], c[s].  As (1 - q)·[k]_q = 1 - q^k, it is
+    the prefix sum of (1 - q^(s+1))·a + (q^s - q^(m+1))·b: four shifted
+    copies of the prefix sums of a and b, each held at its total past its
+    end.
+
+    Only the lower half of each new list is summed, because every list is
+    a palindrome.  Let K_m be the sum of the j < m with j + 1 not in tops.
+    At step m, c holds the permutations of [m], and c[s] is palindromic
+    about (K_m + s·m)/2.  By induction from c = [[1]] at centre 0:
+
+    - [k]_q is palindromic about (k - 1)/2;
+    - a product of palindromes is one, and their centres add;
+    - a sum of palindromes with one centre is one;
+    - both terms of a new coefficient have one centre.  If m+1 is a top,
+      [s+1]_q·c[s] and q^s·[m+1-s]_q·c[s-1] both centre at
+      (K_m + s(m+1))/2; if not, [s+1]_q·c[s+1] and q^s·[m+1-s]_q·c[s]
+      both centre at (K_m + m + s(m+1))/2.  That is (K_(m+1) + s(m+1))/2
+      either way.
+
+    Every coefficient counts permutations, so nothing cancels: a new list
+    runs from lo = min(lo of a, s + lo of b) to 2·centre - lo.  Only the
+    powers lo up to the centre are summed, and a reversed slice of them
+    gives the rest.  Those read a = c[j] up to the new centre, and b = c[j]
+    up to s below it: both at most m/2 past (K_m + j·m)/2, the centre of
+    c[j], so its prefix sums stop there too.
+
+    Inside the loop each list is held from its lowest power, lows[s], up.
+    Every list stays nonzero: s stops at m, the most descents a
+    permutation of [m+1] has, and one of a, b always exists.
+    """
+    lows, c = [0], [[1]]
+    k = 0  # K_m
+    for m in range(check_size(n)):
+        # prefix sums of c[j] up to m/2 past its centre (K_m + j·m)/2
+        sums = [list(accumulate(p[:(k + (j + 1) * m) // 2 - lo + 1]))
+                for j, (lo, p) in enumerate(zip(lows, c))]
+        top = (m + 1) in tops
+        k += 0 if top else m
+        new_lows, new = [], []
+        for s in range(min(len(c) + top, m + 1)):
+            ia = s + (not top)  # a is c[ia], b is c[ia - 1]
+            centre2 = k + s * (m + 1)  # twice the new list's centre
+            # an absent term is read as zeros and bounds lo by centre2
+            pa, la = (sums[ia], lows[ia]) if ia < len(c) else ([0], centre2)
+            pb, lb = (sums[ia - 1], lows[ia - 1]) if ia else ([0], centre2)
+            lo = min(la, s + lb)
+            h = centre2 // 2 - lo + 1
+            plus = map(add, _cum(pa, la, lo, h), _cum(pb, lb, lo - s, h))
+            minus = map(add, _cum(pa, la, lo - s - 1, h), _cum(pb, lb, lo - m - 1, h))
+            half = list(map(sub, plus, minus))
+            half += half[::-1] if centre2 % 2 else half[-2::-1]
+            new.append(half)
+            new_lows.append(lo)
+        lows, c = new_lows, new
+    return [[0] * lo + p for lo, p in zip(lows, c)]
 
 
 def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
-    """q-refined insertion recursion, keys (q-exponent, x-exponent).
-
-    c[s] is the coefficient of x^s as a dense list of q-coefficients.  If
-    m+1 is a potential top the new x^s comes from c[s] and c[s-1], else
-    from c[s+1] and c[s], by _q_step on prefix sums taken once per step.
+    """q-refined insertion recursion, keys (q-exponent, x-exponent), from
+    the dense lists of _q_lists.
 
     Specializing q = 1 collapses every q-integer to its length and recovers
     the single-variable descent polynomial for the given tops set.
     """
-    c = [[1]]
-    for m in range(check_size(n)):
-        sums = [[], *(list(accumulate(p)) for p in c), []]  # sums[s + 1] for c[s]
-        if (m + 1) in tops:
-            c = [_q_step(sums[s + 1], sums[s], s, m) for s in range(len(c) + 1)]
-        else:
-            c = [_q_step(sums[s + 2], sums[s + 1], s, m) for s in range(len(c))]
-        while len(c) > 1 and not c[-1]:
-            c.pop()
     return BivarPolynomial(
-        {(eq, s): v for s, p in enumerate(c) for eq, v in enumerate(p)}
+        {(eq, s): v for s, p in enumerate(_q_lists(n, tops)) for eq, v in enumerate(p)}
     )
 
 

@@ -10,7 +10,6 @@ that are linear when rho_x = 1; both run on the kernel of ``closed_forms``.
 from __future__ import annotations
 
 from itertools import permutations, product
-from operator import getitem
 
 from .closed_forms import ClosedForm
 from .perms import InputError
@@ -45,18 +44,16 @@ def rearrangement_count(rho) -> int:
     return multinomial(_check_rho(rho))
 
 
-def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
-    """All rearrangements, in lexicographic order, as tuples of letters.
-
-    Knuth's Algorithm L (TAOCP 7.2.1.2) on one list: find the last ascent
-    a[j] < a[j+1], swap a[j] with the last letter above it, and reverse
-    the tail after j.
-    """
+def _rearrangements(rho, limit: int, changed: list[int]):
+    """The walk of enumerate_rearrangements.  Before each yield it writes
+    into changed[0] the first position at which the word differs from the
+    one before it (0 for the first word)."""
     rho = _check_rho(rho)
     count = multinomial(rho)
     if count > limit:
         raise CapExceededError(f"|R({rho})| = {count} exceeds the cap {limit}")
     a = [v for v, part in enumerate(rho, start=1) for _ in range(part)]
+    changed[0] = 0
     while True:
         yield tuple(a)
         j = len(a) - 2
@@ -69,20 +66,39 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
             last -= 1
         a[j], a[last] = a[last], a[j]
         a[j + 1:] = a[:j:-1]
+        changed[0] = j
+
+
+def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
+    """All rearrangements, in lexicographic order, as tuples of letters.
+
+    Knuth's Algorithm L (TAOCP 7.2.1.2) on one list: find the last ascent
+    a[j] < a[j+1], swap a[j] with the last letter above it, and reverse
+    the tail after j.
+    """
+    return _rearrangements(rho, limit, [0])
 
 
 def word_brute_poly(rho, tops: IntegerSet, bottoms: IntegerSet) -> IntPolynomial:
     """Sum over R(rho) of x^(number of matching descents).
 
-    The query is asked once per letter pair a > b, into a table; every word
-    is then counted from the table.
+    The query is asked once per letter pair a > b, into a table.  run[i]
+    counts the matching pairs among the first i + 1 letters of the current
+    word.  A step of Algorithm L leaves the letters before some position j
+    as they were, so only the pairs that end at j or later are looked up
+    again: run[j:] is recounted from run[j - 1].  Every word is still
+    counted on its own.
     """
-    table = DescentQuery(tops, bottoms).match_table(len(_check_rho(rho)))
-    counts: dict[int, int] = {}
-    for w in enumerate_rearrangements(rho):
-        s = sum(map(getitem, map(table.__getitem__, w), w[1:]))
-        counts[s] = counts.get(s, 0) + 1
-    return IntPolynomial(counts)
+    rho = _check_rho(rho)
+    table = DescentQuery(tops, bottoms).match_table(len(rho))
+    changed = [0]
+    run = [0] * max(sum(rho), 1)
+    counts = [0] * len(run)
+    for w in _rearrangements(rho, DEFAULT_WORD_CAP, changed):
+        for i in range(changed[0] or 1, len(w)):
+            run[i] = run[i - 1] + table[w[i - 1]][w[i]]
+        counts[run[-1]] += 1
+    return IntPolynomial.from_coeffs(counts)
 
 
 def word_form(

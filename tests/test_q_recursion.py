@@ -1,13 +1,16 @@
-"""The prefix-sum q-recursion against a dict-of-polynomials recursion."""
+"""The prefix-sum q-recursion against a dict-of-polynomials recursion, the
+palindromes it relies on, and the q-poly record built from it."""
 
+import json
 import random
 
 import pytest
 
+from descentpoly.cli import EXIT_OK, main
 from descentpoly.perms import check_size
 from descentpoly.polynomials import BivarPolynomial, IntPolynomial
 from descentpoly.sets import explicit_set, parse_set
-from descentpoly.stats import q_recursion
+from descentpoly.stats import _q_lists, q_recursion
 
 NAMED_TOPS = ["all", "{}", "mod:2:0", "mod:3:1", "mod:4:0,2"]
 
@@ -72,3 +75,43 @@ def test_x_equal_one_gives_q_factorial(n):
 def test_empty_permutation_gives_one():
     for tops in _tops_sets():
         assert q_recursion(0, tops) == BivarPolynomial.constant(1)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_every_q_list_is_a_palindrome_about_its_centre(n):
+    """c[s] is palindromic about (K_n + s·n)/2, K_n the sum of the j < n
+    with j + 1 not in tops."""
+    for tops in _tops_sets():
+        k = sum(j for j in range(n) if j + 1 not in tops)
+        for s, p in enumerate(_q_lists(n, tops)):
+            centre2 = k + s * n
+            assert p and p[-1] and len(p) <= centre2 + 1, (n, tops, s)
+            padded = p + [0] * (centre2 + 1 - len(p))
+            assert padded == padded[::-1], (n, tops, s)
+
+
+@pytest.mark.parametrize("n", range(13, 31))
+def test_larger_n_matches_dict_recursion(n):
+    rng = random.Random(n)
+    seeded = explicit_set(i for i in range(1, n + 1) if rng.random() < 0.5)
+    for tops in [parse_set("{}"), parse_set("all"), parse_set("mod:4:0,2"), seeded]:
+        assert q_recursion(n, tops) == _oracle(n, tops), (n, tops)
+
+
+@pytest.mark.parametrize("x", ["{}", "all", "mod:4:0,2"])
+@pytest.mark.parametrize("n", [0, 1, 2, 8, 40])
+def test_q_poly_record_is_the_one_built_from_q_recursion(capsys, n, x):
+    assert main(["q-poly", "--n", str(n), "--x", x]) == EXIT_OK
+    out = capsys.readouterr().out
+    tops = parse_set(x)
+    poly = q_recursion(n, tops)
+    record = {
+        "command": "q-poly",
+        "inputs": {"n": n, "x": str(tops)},
+        "result": {
+            "coefficients_q_x": {f"{eq},{ex}": str(c) for (eq, ex), c in poly.items()}
+        },
+        "method": "recursion",
+        "elapsed_ms": json.loads(out)["elapsed_ms"],
+    }
+    assert out == json.dumps(record, indent=2, sort_keys=True) + "\n"
