@@ -71,9 +71,9 @@ class _Layout:
     """A sign layout and its required gaps (see `Configuration`), shared by
     every configuration that carries it.  `_layout` interns each layout whose
     '-'s open their gaps; a layout with a stray '-' has `minus_mask` None and
-    is never interned.  `image` is None until `involution` first flips the
-    layout: then it is the interned layout that `_flip` maps this one to, or
-    the layout itself at a fixed point.  An illegal layout never gets one.
+    is never interned.  `image`, the involution's one memo, is None until
+    `_image` first flips a legal layout: then it is the interned layout
+    that `_flip` maps this one to, or the layout itself at a fixed point.
     """
 
     __slots__ = ("minus_mask", "plus_by_gap", "required_mask", "minus_count", "image")
@@ -88,7 +88,7 @@ class _Layout:
 
 @lru_cache(maxsize=1 << 16)
 def _layout(minus_mask: int, plus_by_gap: tuple, required_mask: int) -> _Layout:
-    """The shared layout object; bounded like `_flip`, so an evicted layout
+    """The shared layout object; the table is bounded, so an evicted layout
     lives on in its configurations and an equal one may be made again."""
     return _Layout(minus_mask, plus_by_gap, required_mask, minus_mask.bit_count())
 
@@ -236,26 +236,19 @@ def _layout_config(seq, layout, flavor, tops, bottoms):
 
 def _legal(config: Configuration) -> bool:
     """Every '-' opens its gap and every required gap holds a '+'."""
-    layout = config._layout
-    return (
-        layout.minus_mask is not None
-        and _flip(layout.minus_mask, layout.plus_by_gap, layout.required_mask)
-        is not None
-    )
+    return _image(config._layout) is not None
 
 
 def _conditions_hold(items, flavor: Flavor, tops, bottoms) -> bool:
     return _legal(Configuration(items, flavor, tops, bottoms))
 
 
-@lru_cache(maxsize=1 << 16)
 def _flip(minus_mask: int, plus_by_gap: tuple, required_mask: int):
     """The involution on a sign layout: None when a required gap lacks a
     '+', () at a fixed point, otherwise the flipped (minus_mask, plus_by_gap).
 
     Legality and the image depend on the layout alone, not on the letters,
-    the flavor or the sets, so the same layouts recur across every sequence
-    that shares a required mask; the memo is bounded like `_required_mask`.
+    the flavor or the sets, so `_image` keeps the answer on the layout.
     """
     for gap, count in enumerate(plus_by_gap):
         if not count and required_mask >> gap & 1:
@@ -274,6 +267,18 @@ def _flip(minus_mask: int, plus_by_gap: tuple, required_mask: int):
     return ()
 
 
+def _image(layout: _Layout):
+    """The interned layout the involution maps this one to (itself at a fixed
+    point), flipped once and kept; None when the layout is illegal."""
+    image = layout.image
+    if image is None and layout.minus_mask is not None:
+        required = layout.required_mask
+        flipped = _flip(layout.minus_mask, layout.plus_by_gap, required)
+        if flipped is not None:
+            image = layout.image = _layout(*flipped, required) if flipped else layout
+    return image
+
+
 def involution(config: Configuration) -> Configuration:
     """Flip the first reversible sign; identity on fixed points.
 
@@ -282,19 +287,13 @@ def involution(config: Configuration) -> Configuration:
     become a '+'; a '+' can become a '-' exactly when it opens its gap (a
     second '-' in a gap would trail a sign) and its gap either is not a
     required-plus gap or holds another '+'.  On the layout, the first
-    flippable sign is the first sign of the first gap that opens with a
-    '-', or holds two '+'s, or holds a '+' without being required; `_flip`
-    finds it from the layout alone, the first time the layout is flipped.
+    flippable sign leads the first gap that opens with a '-', holds two
+    '+'s, or holds an unrequired '+'; `_image` finds it once per layout.
     """
-    layout = config._layout
-    image = layout.image
+    image = _image(config._layout)
     if image is None:
-        minus, required = layout.minus_mask, layout.required_mask
-        flipped = None if minus is None else _flip(minus, layout.plus_by_gap, required)
-        if flipped is None:
-            raise MalformedConfigurationError(str(config))
-        image = layout.image = _layout(*flipped, required) if flipped else layout
-    if image is layout:
+        raise MalformedConfigurationError(str(config))
+    if image is config._layout:
         return config
     return _layout_config(
         config.sequence, image, config.flavor, config.tops, config.bottoms

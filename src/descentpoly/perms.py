@@ -78,6 +78,8 @@ def from_cycles(cycs, n: int) -> tuple[int, ...]:
     vals = [0] * n
     for cyc in cycs:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            if not 1 <= a <= n:
+                raise InputError(f"cycle letter {a!r} is not in 1..{n}")
             vals[a - 1] = b
     for i, v in enumerate(vals):
         if v == 0:

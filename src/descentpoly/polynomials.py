@@ -190,9 +190,6 @@ class BivarPolynomial:
     def __hash__(self):
         return hash(frozenset(self._c.items()))
 
-    def shift(self, d1: int, d2: int) -> "BivarPolynomial":
-        return BivarPolynomial({(e1 + d1, e2 + d2): v for (e1, e2), v in self._c.items()})
-
     def specialize_first(self, value: int) -> IntPolynomial:
         """Substitute the first variable, leaving a polynomial in the second."""
         out = {}

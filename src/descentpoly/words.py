@@ -122,10 +122,14 @@ def word_formula_2(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
 
 
 def _rho_of(word, m: int | None = None) -> tuple[int, ...]:
+    """Letter counts over 1..m (m defaults to the largest letter); InputError
+    names a letter outside that range."""
     if m is None:
-        m = max(word)
+        m = max(word, default=0)
     rho = [0] * m
     for v in word:
+        if not 1 <= v <= m:
+            raise InputError(f"letter {v!r} is not in 1..{m}")
         rho[v - 1] += 1
     return tuple(rho)
 

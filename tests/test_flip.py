@@ -1,27 +1,35 @@
-"""The memoised flip on sign layouts against the loops it replaced.
+"""The flip on sign layouts against the loops it replaced, and the memos
+around it.
 
 `_flip(minus_mask, plus_by_gap, required_mask)` decides legality and the
 involution's image from the layout alone.  The oracle below is the
-legality loop and the involution loop as they read before the memo, run on
-the bare layout.
+legality loop and the involution loop as they read before the layout
+encoding, run on the bare layout.  `_flip` keeps no table of its own: the
+interned layout keeps its image, and each memo left in `configurations`
+must see hits on a small sweep.
 """
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
+from descentpoly import configurations
 from descentpoly.configurations import (
     Configuration,
     Flavor,
     MalformedConfigurationError,
     _flip,
+    _layout,
     _legal,
+    _required_mask,
     config_from_str,
     enumerate_configs,
     fixed_point_from_seq,
     involution,
 )
 from descentpoly.sets import explicit_set
+from descentpoly.verify import sweep_configs
 
 MAX_GAPS = 6
 MAX_PLUS = 4
@@ -121,6 +129,37 @@ def test_fixed_point_maps_to_the_same_object():
             assert involution(fp) is fp
 
 
-def test_memo_is_bounded():
-    assert _flip.cache_info().maxsize is not None
-    assert _flip.cache_info().maxsize > 0
+def test_parse_then_involution_flips_each_layout_once(monkeypatch):
+    assert not hasattr(_flip, "cache_info")
+    configs = enumerate_configs(Flavor.STANDARD, 2, 2, TOPS, BOTTOMS, n=4)[::7]
+    texts = [str(c) for c in configs]
+    images = [str(involution(c)) for c in configs]
+    calls = Counter()
+
+    def counted(*layout):
+        calls[layout] += 1
+        return _flip(*layout)
+
+    monkeypatch.setattr(configurations, "_flip", counted)
+    _layout.cache_clear()
+    layouts = set()
+    for text, image in zip(texts, images):
+        c = config_from_str(text, Flavor.STANDARD, TOPS, BOTTOMS)
+        assert str(involution(c)) == image
+        layouts.add((c.minus_mask, c.plus_by_gap, c.required_mask))
+    assert set(calls) == layouts
+    assert set(calls.values()) == {1}
+
+
+def test_each_memo_left_sees_hits_on_a_small_sweep():
+    memos = {
+        name: memo
+        for name, memo in vars(configurations).items()
+        if hasattr(memo, "cache_info")
+    }
+    assert {"_layout", "_required_mask"} <= set(memos)
+    for memo in memos.values():
+        memo.cache_clear()
+    sweep_configs(4, pairs=6, seed=0)
+    for name, memo in memos.items():
+        assert memo.cache_info().hits > 0, name

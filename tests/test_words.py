@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from descentpoly.perms import InputError, from_cycles
 from descentpoly.polynomials import binom
 from descentpoly.sets import ALL, EVENS, explicit_set
 from descentpoly.stats import CapExceededError, DescentQuery, brute_poly, des_set
@@ -98,3 +99,22 @@ class TestRelabeling:
 
         assert descent_value_pairs(w, q) == [(4, 1), (4, 2), (2, 1)]
         assert descent_value_pairs(standardize(w), q) == [(8, 3)]
+
+
+@pytest.mark.parametrize(
+    "call, letter",
+    [
+        (lambda: standardize((2, 0, 1)), 0),
+        (lambda: standardize((1, 1, 0)), 0),
+        (lambda: chi(((1,),), (1, 2)), 2),
+        (lambda: from_cycles([[1, 5]], 3), 5),
+        (lambda: standardize(()), None),
+    ],
+    ids=["standardize-0", "standardize-0-last", "chi", "from-cycles", "empty-word"],
+)
+def test_letters_out_of_range_raise_input_error_naming_the_letter(call, letter):
+    if letter is None:
+        assert call() == ()
+        return
+    with pytest.raises(InputError, match=f"letter {letter} is not in"):
+        call()
