@@ -96,16 +96,16 @@ class ClosedForm:
 
     def weight(self, r: int) -> int:
         """C(c + r, r) · Π_x C(r + o_x, ρ_x)."""
-        factors = prod(binom(r + o, p) for p, o in self.offsets)
-        return binom(self.c + r, r) * factors
+        factors = prod([comb(r + o, p) if r + o >= 0 else 0 for p, o in self.offsets])
+        return comb(self.c + r, r) * factors
 
     def _degree(self, s: int) -> int:
         return self.top_mass - s if self.second else s
 
     def terms(self, s: int) -> list[int]:
         """The signed terms whose sum, times the prefactor, is coefficient s."""
-        k = self._degree(s)
-        return [_signed_binom(self.n, k - r) * self.weight(r) for r in range(k + 1)]
+        k, n = self._degree(s), self.n
+        return [_signed_binom(n, k - r) * self.weight(r) for r in range(k + 1)]
 
     def coefficient(self, s: int) -> int:
         if min(s, self._degree(s)) < 0:

@@ -73,9 +73,13 @@ def eval_terminating(spec: HypergeometricSpec) -> Fraction:
     numerator over den = d_1 ... d_r: acc <- acc d_r + n_1 ... n_r.
     """
     acc = den = term = 1
+    numerator, denominator = spec.numerator, spec.denominator
     for r in range(1, spec.validate() + 1):
-        step = r * prod(b + r - 1 for b in spec.denominator)
-        term *= prod(a + r - 1 for a in spec.numerator)
+        step = r
+        for b in denominator:
+            step *= b + r - 1
+        for a in numerator:
+            term *= a + r - 1
         acc = acc * step + term
         den *= step
     return Fraction(acc, den)

@@ -4,10 +4,11 @@ Each sweep raises VerificationError (with a machine-readable payload) on
 the first disagreement and returns the number of cases checked otherwise.
 The brute-force side of the big sweeps is vectorized with numpy: descent
 pairs of each permutation (or word) are recorded once as a multiplicity
-matrix, then every (tops, bottoms) subset pair is a couple of matrix
-products away.  The closed-form sweeps walk every class R(rho) one way,
-with ``words.enumerate_rearrangements``, S_n as rho = 1^n, so a class past
-its cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
+matrix, then each tops subset is one matrix product, a doubling over the
+bottoms and one histogram away from the counts under every bottoms subset.
+The closed-form sweeps walk every class R(rho) one way, with
+``words.enumerate_rearrangements``, S_n as rho = 1^n, so a class past its
+cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
 The Foata sweep keeps S_n and its cycle rewritings as int8 rows, at most
 FOATA_CHUNK at a time, and reads the bridge's excedence and descent counts
 from per-query tables.
@@ -65,15 +66,20 @@ def _brute_distributions(d: np.ndarray, m: int, xvec: np.ndarray, yvecs: np.ndar
     """Descent-count histograms for one tops mask against many bottoms masks.
 
     Returns an array H with H[y, s] = number of sequences having s matching
-    descents under (xvec, yvecs[y]).
+    descents under (xvec, yvecs[y]), for s up to the largest count under any
+    bottoms mask, which the full mask reaches.  One ``np.bincount`` counts
+    all 2^m masks: mask j (bit b - 1 for bottom b) puts the sequences'
+    counts in bins j * width + s, and those bin numbers are built by
+    doubling, one bottom at a time.
     """
-    per_bottom = np.tensordot(d, xvec, axes=([1], [0]))  # (K, m)
-    s_matrix = per_bottom @ yvecs.T  # (K, #Y)
-    max_s = int(s_matrix.max(initial=0))
-    hist = np.zeros((yvecs.shape[0], max_s + 1), dtype=np.int64)
-    for y in range(yvecs.shape[0]):
-        hist[y] = np.bincount(s_matrix[:, y], minlength=max_s + 1)
-    return hist
+    per_bottom = np.ascontiguousarray((xvec @ d).T)  # (m, K)
+    width = int(per_bottom.sum(axis=0).max(initial=0)) + 1
+    bins = np.zeros((1 << m, d.shape[0]), dtype=np.int64)
+    for b, column in enumerate(per_bottom):
+        half = 1 << b
+        np.add(bins[:half], column + half * width, out=bins[half : 2 * half])
+    hist = np.bincount(bins.ravel(), minlength=(1 << m) * width).reshape(-1, width)
+    return hist[yvecs @ (1 << np.arange(m))]
 
 
 def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
@@ -82,42 +88,48 @@ def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
     (so past its cap this raises CapExceededError), every (X, Y) pair of
     subsets of the letters 1..len(rho), every s up to the word length.  Both
     forms are ``words.word_form(rho, X, Y, second)``, and equal forms of one
-    class share one ``.polynomial()``; a failure reports ``head`` and the two
-    values under ``names``."""
+    class share one ``.polynomial()``.  Its coefficients s = 0..L, L the word
+    length, and the brute-force row padded to the same width are compared as
+    whole lists, each s a case; a failure reports ``head``, the first s that
+    disagrees and the two values under ``names``."""
     checked = 0
     for head, rho in classes:
         seqs = list(words.enumerate_rearrangements(rho))
         m = len(rho)
+        width = len(seqs[0]) + 1
         d = _pair_matrix(seqs, m)
         subsets = _subsets(m)
         yvecs = np.stack([vec for vec, _ in subsets])
-        polys = {}  # equal forms of this class share one polynomial
+        coeffs = {}  # equal forms of this class share one coefficient list
         for xvec, xset in subsets:
             hist = _brute_distributions(d, m, xvec, yvecs)
+            pad = [0] * (width - hist.shape[1])
             for row, (_, yset) in zip(hist.tolist(), subsets):
-                form1 = words.word_form(rho, xset, yset, False)
-                form2 = words.word_form(rho, xset, yset, True)
-                for form in (form1, form2):
-                    if form not in polys:
-                        polys[form] = form.polynomial()
-                poly1, poly2 = polys[form1], polys[form2]
-                for s in range(len(seqs[0]) + 1):
-                    brute = row[s] if s < len(row) else 0
-                    f1, f2 = poly1.coeff(s), poly2.coeff(s)
-                    if not (f1 == f2 == brute):
-                        raise VerificationError(
-                            message,
-                            {
-                                **head,
-                                "s": s,
-                                "tops": str(xset),
-                                "bottoms": str(yset),
-                                names[0]: f1,
-                                names[1]: f2,
-                                "brute": brute,
-                            },
-                        )
-                    checked += 1
+                row += pad
+                lists = []
+                for second in (False, True):
+                    form = words.word_form(rho, xset, yset, second)
+                    found = coeffs.get(form)
+                    if found is None:
+                        poly = form.polynomial()
+                        found = coeffs[form] = [poly.coeff(s) for s in range(width)]
+                    lists.append(found)
+                c1, c2 = lists
+                if not (c1 == c2 == row):
+                    s = next(s for s in range(width) if not (c1[s] == c2[s] == row[s]))
+                    raise VerificationError(
+                        message,
+                        {
+                            **head,
+                            "s": s,
+                            "tops": str(xset),
+                            "bottoms": str(yset),
+                            names[0]: c1[s],
+                            names[1]: c2[s],
+                            "brute": row[s],
+                        },
+                    )
+                checked += width
     return checked
 
 
@@ -347,9 +359,9 @@ def sweep_pfaff(max_param: int = 5) -> int:
         for b in range(-max_param, 1):
             for n in range(max_param + 1):
                 for c in range(-2 * max_param, max_param + 1):
-                    try:
-                        lhs = hypergeom.pfaff_saalschutz_lhs(n, a, b, c)
+                    try:  # a case needs both sides; the cheap one goes first
                         rhs = hypergeom.pfaff_saalschutz_rhs(n, a, b, c)
+                        lhs = hypergeom.pfaff_saalschutz_lhs(n, a, b, c)
                     except hypergeom.IllPosedSeriesError:
                         continue
                     if lhs != rhs:

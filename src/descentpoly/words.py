@@ -34,7 +34,7 @@ DEFAULT_WORD_CAP = 10**6
 
 def _check_rho(rho) -> tuple[int, ...]:
     rho = tuple(rho)
-    if any(p < 0 for p in rho):
+    if min(rho, default=0) < 0:
         raise InputError(f"composition parts must be >= 0: {rho}")
     return rho
 
@@ -144,8 +144,12 @@ def chi(phis, word) -> tuple[int, ...]:
     word = tuple(word)
     m = len(phis)
     rho = _rho_of(word, m)
-    if any(len(phi) != rho[j] for j, phi in enumerate(phis)):
-        raise ValueError("factor lengths must match letter multiplicities")
+    for letter, (phi, part) in enumerate(zip(phis, rho), start=1):
+        if len(phi) != part:
+            raise InputError(
+                f"factor for letter {letter} has length {len(phi)}, "
+                f"but the letter occurs {part} times"
+            )
     offsets = [sum(rho[:j]) for j in range(m)]
     seen = [0] * m
     out = []

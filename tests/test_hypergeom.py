@@ -1,8 +1,9 @@
 """Terminating hypergeometric series and the balanced-transformation checks."""
 
+import random
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -84,6 +85,49 @@ class TestEvaluation:
             assert type(value) is Fraction
             assert value == term_by_term(spec), spec
         assert 0 < ill_posed < len(ORACLE_SPECS)
+
+    def test_matches_the_pochhammer_sum_on_a_seeded_grid(self):
+        """Sum_r prod (a)_r / (r! prod (b)_r), one Fraction term at a time;
+        an ill-posed spec raises with the message its first fault gives."""
+        rng = random.Random(1729)
+        specs = [
+            HypergeometricSpec(
+                tuple(rng.randint(-6, 3) for _ in range(rng.randint(1, 4))),
+                tuple(rng.randint(-6, 4) for _ in range(rng.randint(0, 3))),
+            )
+            for _ in range(600)
+        ]
+        seen = {"r_max = 0": 0, "negative denominator": 0, "ill-posed": 0}
+        for spec in specs:
+            nonpos = [-a for a in spec.numerator if a <= 0]
+            r_max = min(nonpos, default=None)
+            early = [b for b in spec.denominator if b <= 0 and r_max is not None
+                     and -b < r_max]
+            if r_max is None or early:
+                message = (
+                    "series does not terminate: no non-positive numerator parameter"
+                    if r_max is None else
+                    f"denominator parameter {early[0]} vanishes before "
+                    f"termination at {r_max}"
+                )
+                with pytest.raises(IllPosedSeriesError) as info:
+                    eval_terminating(spec)
+                assert str(info.value) == message
+                seen["ill-posed"] += 1
+                continue
+            expected = sum(
+                Fraction(
+                    prod(poch(a, r) for a in spec.numerator),
+                    factorial(r) * prod(poch(b, r) for b in spec.denominator),
+                )
+                for r in range(r_max + 1)
+            )
+            value = eval_terminating(spec)
+            assert type(value) is Fraction
+            assert value == expected, spec
+            seen["r_max = 0"] += r_max == 0
+            seen["negative denominator"] += min(spec.denominator, default=0) < 0
+        assert all(seen.values()), seen
 
     def test_binomial_theorem_special_case(self):
         # 1F0(-n; ; 1) at unit argument is (1-1)^n = 0 for n >= 1

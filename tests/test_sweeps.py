@@ -95,6 +95,62 @@ def test_closed_form_sweep_evaluates_each_distinct_form_once(monkeypatch, sweep,
     assert sum(map(len, evaluated.values())) < sum(map(len, built.values()))
 
 
+def _bincount_per_bottoms_mask(d, xvec, yvecs):
+    """The histograms, one np.bincount per bottoms mask."""
+    s_matrix = np.tensordot(d, xvec, axes=([1], [0])) @ yvecs.T  # (K, #Y)
+    width = int(s_matrix.max(initial=0)) + 1
+    return np.array([np.bincount(column, minlength=width) for column in s_matrix.T])
+
+
+@pytest.mark.parametrize(
+    "rho", [(1,) * n for n in range(1, 7)] + list(verify._compositions(5)), ids=str
+)
+def test_brute_distributions_are_one_bincount_per_bottoms_mask(rho):
+    seqs = list(words.enumerate_rearrangements(rho))
+    d = verify._pair_matrix(seqs, len(rho))
+    subsets = verify._subsets(len(rho))
+    yvecs = np.stack([vec for vec, _ in subsets])
+    short_rows = 0
+    for xvec, xset in subsets:
+        hist = verify._brute_distributions(d, len(rho), xvec, yvecs)
+        assert hist.tolist() == _bincount_per_bottoms_mask(d, xvec, yvecs).tolist()
+        some = yvecs[::-3]  # a few masks in another order, the full mask first
+        assert (verify._brute_distributions(d, len(rho), xvec, some).tolist()
+                == _bincount_per_bottoms_mask(d, xvec, some).tolist())
+        if not xset.members:
+            assert hist.tolist() == [[len(seqs)]] * len(subsets)  # width 1
+        short_rows += int((hist[:, -1] == 0).sum())
+    assert short_rows > 0 or len(rho) == 1  # rows that end before the widest one
+
+
+@pytest.mark.parametrize("sweep", [verify.sweep_formulas, verify.sweep_words],
+                         ids=["formulas", "words"])
+@pytest.mark.parametrize("narrowest, s", [(2, 1), (3, 2)])
+def test_closed_form_sweep_reports_the_first_bad_s(monkeypatch, sweep, narrowest, s):
+    """A count off by one in the last column of every histogram at least
+    ``narrowest`` wide is met first at s = narrowest - 1, for the tops
+    {2, ..., s + 1} and no bottoms of S_(s+1) (or the word 1^(s+1))."""
+    brute = verify._brute_distributions
+
+    def last_column_off(*args):
+        hist = brute(*args).copy()
+        if hist.shape[1] >= narrowest:
+            hist[:, -1] += 1
+        return hist
+
+    monkeypatch.setattr(verify, "_brute_distributions", last_column_off)
+    with pytest.raises(VerificationError) as info:
+        sweep(3)
+    head = ("n", s + 1) if sweep is verify.sweep_formulas else ("rho", [1] * (s + 1))
+    names = (("formula_alpha_beta", "formula_beta_beta")
+             if sweep is verify.sweep_formulas else ("word_formula_1", "word_formula_2"))
+    tops = "{" + ",".join(str(x) for x in range(2, s + 2)) + "}"
+    assert list(info.value.payload.items()) == [
+        head, ("s", s), ("tops", tops), ("bottoms", "{}"),
+        (names[0], 0), (names[1], 0), ("brute", 1),
+    ]
+
+
 def _plus_one(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + 1
 

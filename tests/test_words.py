@@ -118,3 +118,21 @@ def test_letters_out_of_range_raise_input_error_naming_the_letter(call, letter):
         return
     with pytest.raises(InputError, match=f"letter {letter} is not in"):
         call()
+
+
+@pytest.mark.parametrize(
+    "phis, word, letter, length, part",
+    [
+        (((1, 2),), (1,), 1, 2, 1),
+        (((1,), ()), (1, 2, 2), 2, 0, 2),
+        (((2, 1), (1,)), (1, 2, 1, 2), 2, 1, 2),
+    ],
+    ids=["too-long", "empty-factor", "second-letter"],
+)
+def test_chi_factor_length_mismatch_is_an_input_error(phis, word, letter, length, part):
+    message = (f"factor for letter {letter} has length {length}, "
+               f"but the letter occurs {part} times")
+    with pytest.raises(InputError) as info:
+        chi(phis, word)
+    assert str(info.value) == message
+    assert isinstance(info.value, ValueError)
