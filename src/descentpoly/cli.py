@@ -77,7 +77,7 @@ def _query(args, inputs: dict) -> DescentQuery:
 def _poly_by_method(args, query: DescentQuery) -> tuple[IntPolynomial, dict]:
     """The polynomial, and for --method rook the rook path it took."""
     method = args.method
-    has_z = not isinstance(query.diffs, type(ALL))
+    has_z = query.diffs is not ALL
     if method in ("recursion", "formula1", "formula2") and has_z:
         raise InputError(f"method {method} does not support --z")
     if method == "brute":

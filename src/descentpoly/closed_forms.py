@@ -117,13 +117,8 @@ class ClosedForm:
 
         The weights w_0..w_D, times (1 − x)^(N+1) truncated at degree D: N + 1
         passes of p_k ← p_k − p_(k−1), subtractions only."""
-        c, offsets = self.c, self.offsets
         top = self.top_mass if self.second else self.n
-        p = [
-            comb(c + r, r)
-            * prod([comb(r + o, part) if r + o >= 0 else 0 for part, o in offsets])
-            for r in range(top + 1)
-        ]
+        p = [self.weight(r) for r in range(top + 1)]
         for _ in range(self.n + 1):
             p[1:] = map(sub, p[1:], p[:-1])
         if self.prefactor != 1:

@@ -62,8 +62,6 @@ class MalformedConfigurationError(InputError):
     pass
 
 
-CapError = CapExceededError  # the package's one cap error, by this module's name
-
 _new = object.__new__
 
 

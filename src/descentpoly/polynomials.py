@@ -2,8 +2,9 @@
 
 Coefficients are Python ints (arbitrary precision); zero coefficients are
 never stored.  These are deliberately small sparse-dict classes: the whole
-package depends on exact arithmetic, and nothing here needs more algebra
-than add / multiply / evaluate / specialize.
+package depends on exact arithmetic, and the routes need no more than
+construction, reading coefficients, ``+``, ``*``, evaluation and (for the
+two-variable class) specialization of one variable.
 """
 
 from __future__ import annotations
@@ -105,14 +106,6 @@ class IntPolynomial:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial({e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = IntPolynomial({0: other})
-        return self + (-other)
-
     def __mul__(self, other) -> "IntPolynomial":
         if isinstance(other, int):
             return IntPolynomial({e: v * other for e, v in self._c.items()})
@@ -123,14 +116,6 @@ class IntPolynomial:
         return IntPolynomial(c)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "IntPolynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = IntPolynomial({0: 1})
-        for _ in range(k):
-            out = out * self
-        return out
 
     def __call__(self, x):
         return sum(v * x**e for e, v in self._c.items())
@@ -168,10 +153,6 @@ class BivarPolynomial:
                         raise ValueError("negative exponent")
                     c[(e1, e2)] = v
         self._c = c
-
-    @classmethod
-    def constant(cls, v: int) -> "BivarPolynomial":
-        return cls({(0, 0): v})
 
     def coeff(self, e1: int, e2: int) -> int:
         return self._c.get((e1, e2), 0)

@@ -351,7 +351,9 @@ def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
     top i, so the rows nest and one pass over [1, n] counts the row lengths
     of the Ferrers shape; no board is built.
     """
-    if query.diffs is ALL:
+    if query.diffs is not ALL:
+        r, route = rook_route(board_from_query(n, query))
+    else:
         check_size(n)
         counts = [0] * (n + 1)
         below = 0  # bottoms below i
@@ -361,8 +363,6 @@ def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
             if i in query.bottoms:
                 below += 1
         r, route = ferrers_rook_numbers(_heights(counts)), {"rook_path": "ferrers"}
-    else:
-        r, route = rook_route(board_from_query(n, query))
     return IntPolynomial(dict(enumerate(_hits_from_rooks(r, n)))), route
 
 

@@ -28,8 +28,6 @@ __all__ = [
     "EMPTY",
     "EVENS",
     "ODDS",
-    "alpha",
-    "beta",
 ]
 
 
@@ -199,16 +197,3 @@ def parse_set(text: str) -> IntegerSet:
         return atoms[0]
     return SetUnion(tuple(atoms))
 
-
-def alpha(s: IntegerSet, n: int, j: int) -> int:
-    """Count of elements in (j, n] that are not in s."""
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    return sum(1 for z in range(j + 1, n + 1) if z not in s)
-
-
-def beta(s: IntegerSet, n: int, j: int) -> int:
-    """Count of elements in [1, j) that are not in s."""
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    return sum(1 for z in range(1, j) if z not in s)

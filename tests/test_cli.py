@@ -62,6 +62,14 @@ class TestPoly:
         assert code == EXIT_USAGE
         assert "does not support --z" in err
 
+    def test_z_all_is_no_difference_set(self, capsys):
+        argv = ["poly", "--n", "5", "--x", "all", "--y", "all", "--method", "recursion"]
+        with_z = run_json(capsys, *argv, "--z", "all")
+        without_z = run_json(capsys, *argv)
+        assert with_z["inputs"]["z"] == "all"
+        with_z["elapsed_ms"] = without_z["elapsed_ms"]
+        assert with_z == without_z
+
     def test_text_format(self, capsys):
         code, out, _ = run(
             capsys, "--format", "text", "poly", "--n", "4", "--x", "all",

@@ -3,7 +3,6 @@
 import pytest
 
 from descentpoly.configurations import (
-    CapError,
     Configuration,
     Flavor,
     MalformedConfigurationError,
@@ -16,6 +15,7 @@ from descentpoly.configurations import (
 )
 from descentpoly.perms import InputError
 from descentpoly.sets import ALL, EVENS, ODDS, explicit_set
+from descentpoly.stats import CapExceededError
 from descentpoly.verify import sweep_configs
 
 
@@ -29,6 +29,13 @@ class TestSerialization:
         assert c.plus_count == 3
         assert c.minus_count == 2
         assert c.sign == 1
+
+    def test_repr_names_items_flavor_and_sets(self):
+        c = config_from_str("1+2-", Flavor.STANDARD, ALL, explicit_set([1]))
+        assert repr(c) == (
+            "Configuration(items=(1, '+', 2, '-'), flavor=<Flavor.STANDARD: "
+            "'standard'>, tops=AllIntegers(), bottoms=Explicit(members=(1,)))"
+        )
 
     def test_wide_letters_use_commas(self):
         tops = explicit_set([11])
@@ -111,7 +118,7 @@ class TestEnumeration:
                 )
 
     def test_cap(self):
-        with pytest.raises(CapError):
+        with pytest.raises(CapExceededError):
             enumerate_configs(Flavor.STANDARD, 1, 1, EVENS, ODDS, n=9)
 
     def test_argument_validation(self):

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from descentpoly.perms import (
+    InputError,
     all_permutations,
     check_permutation,
     cycles,
@@ -25,13 +26,14 @@ from descentpoly.sets import (
     EMPTY,
     EVENS,
     ODDS,
-    alpha,
+    Explicit,
+    ResidueClasses,
     at_least,
-    beta,
     explicit_set,
     parse_set,
     residue_set,
 )
+from descentpoly.stats import DescentQuery, brute_poly
 
 
 class TestSets:
@@ -64,6 +66,26 @@ class TestSets:
             s = parse_set(text)
             assert parse_set(str(s)).restrict(12) == s.restrict(12)
 
+    @pytest.mark.parametrize(
+        "build, normalise, message",
+        [
+            (Explicit, explicit_set, "members must be sorted and distinct"),
+            (
+                lambda v: ResidueClasses(3, v),
+                lambda v: residue_set(3, v),
+                "residues must be sorted and distinct",
+            ),
+        ],
+        ids=["explicit", "residues"],
+    )
+    @pytest.mark.parametrize("values", [(2, 1), (1, 1)], ids=["unsorted", "repeated"])
+    def test_constructors_need_sorted_distinct_values(
+        self, build, normalise, message, values
+    ):
+        with pytest.raises(InputError, match=message):
+            build(values)
+        assert build(tuple(sorted(set(values)))) == normalise(values)
+
     def test_parse_examples(self):
         assert parse_set("mod:2:0").restrict(6) == (2, 4, 6)
         assert parse_set("{2,3,5}|geq:8").restrict(9) == (2, 3, 5, 8, 9)
@@ -71,17 +93,6 @@ class TestSets:
             parse_set("mod:0:1")
         with pytest.raises(ValueError):
             parse_set("bogus:3")
-
-    def test_alpha_beta_counts(self):
-        # alpha: elements outside s strictly between j and n;
-        # beta: elements outside s strictly below j.
-        x = explicit_set([2, 3, 4, 6])
-        assert alpha(x, 6, 2) == 1  # {5}
-        assert alpha(x, 6, 6) == 0
-        assert beta(x, 6, 6) == 2  # {1, 5}
-        y = explicit_set([1, 4])
-        assert beta(y, 6, 6) == 3  # {2, 3, 5}
-        assert beta(y, 6, 2) == 0
 
 
 class TestPerms:
@@ -136,22 +147,31 @@ class TestPolynomials:
         p = IntPolynomial({0: 1, 1: 2})
         q = IntPolynomial({1: 3})
         assert (p + q).coeff_list() == [1, 5]
-        assert (p - q).coeff_list() == [1, -1]
         assert (p * q).coeff_list() == [0, 3, 6]
-        assert (p**2).coeff_list() == [1, 4, 4]
+        assert (p * p).coeff_list() == [1, 4, 4]
         assert p(10) == 21
         assert p.degree == 1
         assert IntPolynomial().degree == -1
 
     def test_big_coefficients_stay_exact(self):
-        p = IntPolynomial({0: 1, 1: 1}) ** 200
+        p = IntPolynomial({0: 1})
+        for _ in range(200):
+            p = p * IntPolynomial({0: 1, 1: 1})
         assert p.coeff(100) == binom(200, 100)
 
     def test_bivariate(self):
         b = BivarPolynomial({(1, 0): 2, (0, 1): 3})
         assert b.specialize_second(1).coeff_list() == [3, 2]
         assert b.specialize_first(2).coeff_list() == [4, 3]
-        assert BivarPolynomial.constant(7).coeff(0, 0) == 7
+
+    def test_value_semantics_and_spelling(self):
+        assert brute_poly(0, DescentQuery(ALL, ALL)) == 1
+        assert len({IntPolynomial({0: 1, 2: 3}), IntPolynomial({2: 3, 0: 1})}) == 1
+        pair = {BivarPolynomial({(1, 0): 2}), BivarPolynomial({(1, 0): 2, (0, 1): 0})}
+        assert len(pair) == 1
+        assert repr(IntPolynomial({0: 1, 2: 3})) == "1 + 3*x^2"
+        b = BivarPolynomial({(0, 0): 1, (2, 1): 5, (0, 3): 4})
+        assert repr(b) == "1 + 4*v^3 + 5*u^2*v^1"
 
 
 def test_from_cycles_fills_in_the_fixed_points():

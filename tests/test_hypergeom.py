@@ -11,6 +11,7 @@ from descentpoly.hypergeom import (
     HypergeometricSpec,
     IllPosedSeriesError,
     UVProfile,
+    _side,
     eval_terminating,
     pfaff_saalschutz_lhs,
     pfaff_saalschutz_rhs,
@@ -152,6 +153,12 @@ class TestEvaluation:
         with pytest.raises(IllPosedSeriesError):
             # denominator (-1)_r vanishes at r = 2, before termination at 3
             eval_terminating(HypergeometricSpec((-3, 1), (-1,)))
+
+    def test_unbalanced_side_rejected_unless_its_prefactor_is_zero(self):
+        unbalanced = HypergeometricSpec((-1,), (1,))
+        with pytest.raises(ValueError, match="top sum -1, bottom sum 1"):
+            _side(1, unbalanced)
+        assert _side(0, unbalanced) == 0
 
 
 class TestPfaffSaalschutz:
