@@ -2,10 +2,13 @@
 
 Every series handled here has all-negative-integer parameters and unit
 argument, so it terminates: some numerator Pochhammer hits zero.  The
-evaluation sums in integers, one numerator over one denominator, and
-returns a single reduced Fraction; the interesting content is the
-validation (no denominator Pochhammer may vanish first) and the identities
-the rest of the package checks against descent-polynomial counts.
+evaluation sums in integers, one numerator over one denominator, and the
+private helpers pass that (numerator, denominator) pair on unreduced, so
+the sweeps in ``verify`` compare sides by cross-multiplication; the public
+functions turn each pair into a single reduced Fraction.  The interesting
+content is the validation (no denominator Pochhammer may vanish first) and
+the identities the rest of the package checks against descent-polynomial
+counts.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ class HypergeometricSpec:
         return r_max
 
 
-def eval_terminating(spec: HypergeometricSpec) -> Fraction:
-    """The series' exact sum, reduced.
+def _sum_pair(spec: HypergeometricSpec) -> tuple[int, int]:
+    """The series' exact sum as an unreduced pair (numerator, denominator).
 
     Term r is term r-1 times n_r / d_r, n_r = prod (a + r - 1) over the
     numerator and d_r = r prod (b + r - 1) over the denominator, and
@@ -82,7 +85,12 @@ def eval_terminating(spec: HypergeometricSpec) -> Fraction:
             term *= a + r - 1
         acc = acc * step + term
         den *= step
-    return Fraction(acc, den)
+    return acc, den
+
+
+def eval_terminating(spec: HypergeometricSpec) -> Fraction:
+    """The series' exact sum, reduced."""
+    return Fraction(*_sum_pair(spec))
 
 
 @dataclass(frozen=True)
@@ -151,18 +159,25 @@ def _check_balanced(spec: HypergeometricSpec):
         )
 
 
-def _side(prefactor: int, spec: HypergeometricSpec) -> Fraction:
+def _side_pair(prefactor: int, spec: HypergeometricSpec) -> tuple[int, int]:
+    """prefactor times the balanced series, as an unreduced integer pair."""
     if prefactor == 0:
-        return Fraction(0)
+        return 0, 1
     _check_balanced(spec)
-    return prefactor * eval_terminating(spec)
+    num, den = _sum_pair(spec)
+    return prefactor * num, den
+
+
+def _side(prefactor: int, spec: HypergeometricSpec) -> Fraction:
+    return Fraction(*_side_pair(prefactor, spec))
 
 
 def _balanced_sides(
     profile: UVProfile, n: int, s: int
-) -> tuple[Fraction, Fraction, IntegerSet]:
-    """Both balanced series of the transformation, and the tops set of the
-    profile's τ-word whose descent count they equal."""
+) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Both balanced series of the transformation, each an unreduced integer
+    pair (numerator, denominator).  The caller checks n against the profile
+    (``tau_sequence`` does) and builds the count they equal."""
     u, v, k = profile.u, profile.v, profile.k
     a = n - sum(v)
     left_pre = poch(s + 1, a) * prod(poch(s + u[i] + 1, v[i]) for i in range(k))
@@ -180,8 +195,7 @@ def _balanced_sides(
         + tuple(-n + s + u[i] + v[i] for i in range(k)),
         denominator=(-n + s,) + tuple(-n + s + u[i] for i in range(k)),
     )
-    _, members = tau_sequence(profile, n)
-    return _side(left_pre, left_spec), _side(right_pre, right_spec), members
+    return _side_pair(left_pre, left_spec), _side_pair(right_pre, right_spec)
 
 
 def verify_balanced_identity(
@@ -190,15 +204,21 @@ def verify_balanced_identity(
     """Both balanced series of the transformation, plus the descent count
     they equal.  Returns (left, right, P); callers assert all three agree.
     """
-    left, right, members = _balanced_sides(profile, n, s)
-    return left, right, formula_alpha_beta(n, s, members, ALL)
+    _, members = tau_sequence(profile, n)
+    left, right = _balanced_sides(profile, n, s)
+    return Fraction(*left), Fraction(*right), formula_alpha_beta(n, s, members, ALL)
+
+
+def _pfaff_lhs_pair(n: int, a: int, b: int, c: int) -> tuple[int, int]:
+    """The Pfaff-Saalschutz series 3F2(-n, a, b; c, 1 + a + b - c - n; 1)
+    as an unreduced integer pair."""
+    return _sum_pair(
+        HypergeometricSpec(numerator=(-n, a, b), denominator=(c, a + b - c - n + 1))
+    )
 
 
 def pfaff_saalschutz_lhs(n: int, a: int, b: int, c: int) -> Fraction:
-    spec = HypergeometricSpec(
-        numerator=(-n, a, b), denominator=(c, a + b - c - n + 1)
-    )
-    return eval_terminating(spec)
+    return Fraction(*_pfaff_lhs_pair(n, a, b, c))
 
 
 def pfaff_saalschutz_rhs(n: int, a: int, b: int, c: int) -> Fraction:
@@ -215,5 +235,7 @@ def verify_cor35(k: int, m: int, s: int) -> tuple[Fraction, Fraction, int]:
     if k < 1 or m < 1:
         raise InputError("need k >= 1 and m >= 1")
     n = (k + 1) * m
-    left, right, members = _balanced_sides(UVProfile((0,) * k, (m,) * k), n, s)
-    return left, right, formula_beta_beta(n, s, members, ALL)
+    profile = UVProfile((0,) * k, (m,) * k)
+    _, members = tau_sequence(profile, n)
+    left, right = _balanced_sides(profile, n, s)
+    return Fraction(*left), Fraction(*right), formula_beta_beta(n, s, members, ALL)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from operator import add, mul, sub
 
-from .perms import InputError, all_permutations, check_permutation, check_size, cycles
+from .perms import InputError, all_permutations, check_permutation, check_size
 from .polynomials import IntPolynomial
 from .sets import ALL, IntegerSet, explicit_set
 from .stats import CapExceededError, DescentQuery
@@ -286,17 +286,22 @@ def foata(omega) -> tuple[int, ...]:
     """Cycle rewriting that turns excedences into descents.
 
     Write each cycle with its largest element last, order cycles by
-    increasing largest element, reverse each cycle, concatenate.
+    increasing largest element, reverse each cycle, concatenate.  Read
+    backwards, that is the cycles by decreasing largest element, each
+    followed from its largest letter along omega and ending there: scanning
+    the letters from n down, each one not yet placed is the largest of its
+    cycle.
     """
-    cycs = []
-    for cyc in cycles(check_permutation(omega)):
-        top = cyc.index(max(cyc))
-        cycs.append(cyc[top + 1 :] + cyc[: top + 1])  # rotate largest to the end
-    cycs.sort(key=max)
-    out = []
-    for cyc in cycs:
-        out.extend(reversed(cyc))
-    return tuple(out)
+    omega = check_permutation(omega)
+    placed = [False] * (len(omega) + 1)
+    backwards = []
+    for top in range(len(omega), 0, -1):
+        cur = top
+        while not placed[top]:
+            cur = omega[cur - 1]
+            placed[cur] = True
+            backwards.append(cur)
+    return tuple(reversed(backwards))
 
 
 def foata_inverse(sigma) -> tuple[int, ...]:

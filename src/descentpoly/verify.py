@@ -12,17 +12,22 @@ cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
 The Foata sweep keeps S_n and its cycle rewritings as int8 rows, at most
 FOATA_CHUNK at a time, and reads the bridge's excedence and descent counts
 from per-query tables.
+The hypergeometric sweeps take each series side as the unreduced integer
+pair (numerator, denominator) of ``hypergeom`` and compare by
+cross-multiplication, building a Fraction only for a failure record; the
+balanced sweep builds each profile's τ-word and closed form once, for all s.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import chain, combinations_with_replacement, islice, permutations, product
 from math import factorial
 
 import numpy as np
 
-from . import configurations, hypergeom, rook, stats, words
+from . import closed_forms, configurations, hypergeom, rook, stats, words
 from .perms import VerificationError
 from .sets import ALL, explicit_set
 from .stats import DescentQuery
@@ -361,14 +366,14 @@ def sweep_pfaff(max_param: int = 5) -> int:
                 for c in range(-2 * max_param, max_param + 1):
                     try:  # a case needs both sides; the cheap one goes first
                         rhs = hypergeom.pfaff_saalschutz_rhs(n, a, b, c)
-                        lhs = hypergeom.pfaff_saalschutz_lhs(n, a, b, c)
+                        num, den = hypergeom._pfaff_lhs_pair(n, a, b, c)
                     except hypergeom.IllPosedSeriesError:
                         continue
-                    if lhs != rhs:
+                    if num * rhs.denominator != rhs.numerator * den:
                         raise VerificationError(
                             "summation formula fails",
                             {"n": n, "a": a, "b": b, "c": c,
-                             "lhs": str(lhs), "rhs": str(rhs)},
+                             "lhs": str(Fraction(num, den)), "rhs": str(rhs)},
                         )
                     checked += 1
     return checked
@@ -393,23 +398,26 @@ def sweep_cor35(max_km: int = 2) -> int:
 
 def sweep_balanced() -> int:
     """The balanced transformation on every (u, v) profile with k <= 2 and
-    entries <= 3, at the profile's least n and every s."""
+    entries <= 3, at the profile's least n and every s.  Each profile builds
+    its τ-word and the alpha/beta form of its tops once; at each s both
+    sides, integer pairs (num, den), must satisfy num == count * den."""
     checked = 0
     for k in (1, 2):
         for u in combinations_with_replacement(range(4), k):
             for v in product(range(1, 4), repeat=k):
                 profile = hypergeom.UVProfile(u, v)
                 n = profile.min_n()
+                _, members = hypergeom.tau_sequence(profile, n)
+                form = closed_forms.permutation_form(n, members, ALL)
                 for s in range(n + 1):
-                    left, right, count = hypergeom.verify_balanced_identity(
-                        profile, n, s
-                    )
-                    if not (left == right == count):
+                    left, right = hypergeom._balanced_sides(profile, n, s)
+                    count = form.coefficient(s)
+                    if left[0] != count * left[1] or right[0] != count * right[1]:
                         raise VerificationError(
                             "balanced transformation fails",
                             {"u": list(profile.u), "v": list(profile.v), "n": n,
-                             "s": s, "left": str(left), "right": str(right),
-                             "count": count},
+                             "s": s, "left": str(Fraction(*left)),
+                             "right": str(Fraction(*right)), "count": count},
                         )
                     checked += 1
     return checked

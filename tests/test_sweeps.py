@@ -10,7 +10,9 @@ from math import factorial
 import numpy as np
 import pytest
 
-from descentpoly import configurations, hypergeom, rook, stats, verify, words
+from descentpoly import (
+    closed_forms, configurations, hypergeom, rook, stats, verify, words,
+)
 from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
 from descentpoly.closed_forms import ClosedForm
 from descentpoly.configurations import Configuration
@@ -323,20 +325,30 @@ def test_foata_sweep_holds_no_list_of_s_n():
     [
         ("verify_cor35", 0, verify.sweep_cor35, "mod-(k+1) identity fails",
          [("k", 1), ("m", 1), ("s", 0), ("left", "2"), ("right", "1"), ("count", 1)]),
-        ("verify_balanced_identity", 1, verify.sweep_balanced,
+        ("_balanced_sides", 1, verify.sweep_balanced,
          "balanced transformation fails",
          [("u", [0]), ("v", [1]), ("n", 2), ("s", 0), ("left", "1"), ("right", "2"),
           ("count", 1)]),
+        ("_pfaff_lhs_pair", None, verify.sweep_pfaff, "summation formula fails",
+         [("n", 0), ("a", -5), ("b", -5), ("c", -10), ("lhs", "2"), ("rhs", "1")]),
     ],
-    ids=["cor35", "balanced"],
+    ids=["cor35", "balanced", "pfaff_lhs"],
 )
 def test_hypergeom_sweep_failure_record(monkeypatch, name, side, sweep, message, items):
     real = getattr(hypergeom, name)
 
+    def step(value):
+        # a number plus 1; an integer pair (num, den) plus den/den
+        if isinstance(value, tuple):
+            return value[0] + value[1], value[1]
+        return value + 1
+
     def skewed(*args):
-        # add 1 to one of the (left, right, count) sides
+        # one step on one of the returned sides, or on the one returned pair
+        if side is None:
+            return step(real(*args))
         sides = list(real(*args))
-        sides[side] += 1
+        sides[side] = step(sides[side])
         return tuple(sides)
 
     monkeypatch.setattr(hypergeom, name, skewed)
@@ -344,3 +356,21 @@ def test_hypergeom_sweep_failure_record(monkeypatch, name, side, sweep, message,
         sweep()
     assert str(info.value) == message
     assert list(info.value.payload.items()) == items
+
+
+def test_balanced_sweep_builds_one_tau_word_and_form_per_profile(monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(hypergeom, "tau_sequence")
+    counted(closed_forms, "permutation_form")
+    assert verify.sweep_balanced() == 844
+    assert calls == {"tau_sequence": 102, "permutation_form": 102}
