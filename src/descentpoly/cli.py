@@ -19,8 +19,9 @@ import functools
 import json
 import sys
 import time
+from typing import NamedTuple
 
-from . import closed_forms, configurations, rook, stats, words
+from . import configurations, rook, stats, words
 from .perms import InputError, VerificationError, check_permutation, check_size
 from .perms import format_permutation, parse_int, parse_permutation
 from .polynomials import IntPolynomial
@@ -66,31 +67,32 @@ def _emit_text_value(value, indent=""):
 
 
 def _query(args, inputs: dict) -> DescentQuery:
-    """The query of --x/--y/--z for poly, xyz and board, with its inputs."""
+    """The query of --x/--y, and of --z where the command has it, with its inputs."""
     tops = parse_set(args.x)
     bottoms = parse_set(args.y)
-    diffs = parse_set(args.z) if args.z else ALL
-    inputs.update(n=args.n, x=str(tops), y=str(bottoms), z=str(diffs))
+    inputs.update(x=str(tops), y=str(bottoms))
+    diffs = ALL
+    if "z" in args:
+        diffs = parse_set(args.z) if args.z else ALL
+        inputs["z"] = str(diffs)
     return DescentQuery(tops, bottoms, diffs)
 
 
-def _poly_by_method(args, query: DescentQuery) -> tuple[IntPolynomial, dict]:
-    """The polynomial, and for --method rook the rook path it took."""
-    method = args.method
-    has_z = query.diffs is not ALL
-    if method in ("recursion", "formula1", "formula2") and has_z:
-        raise InputError(f"method {method} does not support --z")
-    if method == "brute":
-        return stats.brute_poly(args.n, query, limit=args.max_brute), {}
-    if method == "recursion":
-        bivar = stats.recursion_bivar(args.n, query.tops, query.bottoms)
-        return bivar.specialize_second(1), {}
-    if method in ("formula1", "formula2"):
-        form = closed_forms.permutation_form(
-            args.n, query.tops, query.bottoms, second=method == "formula2"
-        )
-        return form.polynomial(), {}
-    return rook.hits_with_route(args.n, query)
+class PolyCommand(NamedTuple):
+    help: str
+    methods: tuple  # the --method choices, in the order --help lists them
+    default: str
+
+
+# The polynomial commands.  S_n is the word class 1ⁿ, so one handler serves
+# all three; only the methods that `xyz` offers take a difference set.
+POLY_COMMANDS = {
+    "poly": PolyCommand("descent polynomial of S_n",
+                        ("brute", "recursion", "formula1", "formula2", "rook"), "recursion"),
+    "xyz": PolyCommand("alias for poly with a difference set", ("brute", "rook"), "rook"),
+    "word-poly": PolyCommand("descent polynomial of a word class",
+                             ("brute", "formula1", "formula2"), "formula1"),
+}
 
 
 # Each cmd_* writes its inputs into `inputs` before it computes, so that a
@@ -99,25 +101,35 @@ def _poly_by_method(args, query: DescentQuery) -> tuple[IntPolynomial, dict]:
 
 
 def cmd_poly(args, inputs: dict) -> dict:
-    """poly and xyz: the record names the subcommand that ran."""
-    poly, route = _poly_by_method(args, _query(args, inputs))
+    """poly, xyz and word-poly on the class ρ, which is 1ⁿ for --n.  The
+    record names the subcommand that ran; rook adds the rook path it took."""
+    if "rho" in args:
+        rho = tuple(parse_int(t, f"composition {args.rho!r}") for t in args.rho.split(","))
+        inputs["rho"] = list(rho)
+    else:
+        rho = (1,) * args.n
+        inputs["n"] = args.n
+    query = _query(args, inputs)
+    method = args.method
+    if query.diffs is not ALL and method not in POLY_COMMANDS["xyz"].methods:
+        raise InputError(f"method {method} does not support --z")
+    route = {}
+    if method in ("formula1", "formula2"):
+        form = words.word_form(rho, query.tops, query.bottoms, method == "formula2")
+        poly = form.polynomial()
+    elif method == "recursion":
+        poly = stats.recursion_bivar(args.n, query.tops, query.bottoms).specialize_second(1)
+    elif method == "rook":
+        poly, route = rook.hits_with_route(args.n, query)
+    elif "rho" in args:
+        poly = words.word_brute_poly(rho, query.tops, query.bottoms)
+    else:
+        poly = stats.brute_poly(args.n, query, limit=args.max_brute)
     return {"coefficients": _poly_payload(poly), **route}
 
 
-def cmd_word_poly(args, inputs: dict) -> dict:
-    rho = tuple(parse_int(t, f"composition {args.rho!r}") for t in args.rho.split(","))
-    tops = parse_set(args.x)
-    bottoms = parse_set(args.y)
-    inputs.update(rho=list(rho), x=str(tops), y=str(bottoms))
-    if args.method == "brute":
-        poly = words.word_brute_poly(rho, tops, bottoms)
-    else:
-        second = args.method == "formula2"
-        poly = words.word_form(rho, tops, bottoms, second).polynomial()
-    return {"coefficients": _poly_payload(poly)}
-
-
 def cmd_board(args, inputs: dict) -> dict:
+    inputs["n"] = args.n
     board = rook.board_from_query(args.n, _query(args, inputs))
     try:
         heights, structure = rook.height_structure(board)
@@ -222,29 +234,15 @@ def build_parser() -> argparse.ArgumentParser:
         if with_z:
             p.add_argument("--z", default=None, help="difference set")
 
-    p = sub.add_parser("poly", help="descent polynomial of S_n")
-    p.add_argument("--n", type=_size, required=True)
-    add_sets(p, with_z=True)
-    p.add_argument(
-        "--method",
-        choices=("brute", "recursion", "formula1", "formula2", "rook"),
-        default="recursion",
-    )
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("xyz", help="alias for poly with a difference set")
-    p.add_argument("--n", type=_size, required=True)
-    add_sets(p, with_z=True)
-    p.add_argument("--method", choices=("brute", "rook"), default="rook")
-    p.set_defaults(func=cmd_poly)
-
-    p = sub.add_parser("word-poly", help="descent polynomial of a word class")
-    p.add_argument("--rho", required=True, help="composition, e.g. 2,3,1")
-    add_sets(p)
-    p.add_argument(
-        "--method", choices=("brute", "formula1", "formula2"), default="formula1"
-    )
-    p.set_defaults(func=cmd_word_poly)
+    for name, command in POLY_COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if name == "word-poly":
+            p.add_argument("--rho", required=True, help="composition, e.g. 2,3,1")
+        else:
+            p.add_argument("--n", type=_size, required=True)
+        add_sets(p, with_z=name != "word-poly")
+        p.add_argument("--method", choices=command.methods, default=command.default)
+        p.set_defaults(func=cmd_poly)
 
     p = sub.add_parser("board", help="descent board, heights, structure")
     p.add_argument("--n", type=_size, required=True)

@@ -290,7 +290,7 @@ def involution(config: Configuration) -> Configuration:
     """
     image = _image(config._layout)
     if image is None:
-        raise MalformedConfigurationError(str(config))
+        raise MalformedConfigurationError(_written(config))
     if image is config._layout:
         return config
     return _layout_config(
@@ -443,11 +443,9 @@ def staged_count(
     return form.prefactor * form.weight(r) * binom(form.n + 1, n_minus)
 
 
-def config_to_str(config: Configuration) -> str:
-    """Serialize like `5+2-+46+13-`; letters above 9 force comma-separated
-    letters, e.g. `11,3+2-`."""
-    seq = config.sequence
-    wide = bool(seq) and max(seq) > 9
+def _written(config: Configuration) -> str:
+    """The items as config_to_str writes them, without its round-trip check."""
+    wide = max(config.sequence, default=0) > 9
     out = []
     prev_was_letter = False
     for it in config.items:
@@ -462,14 +460,30 @@ def config_to_str(config: Configuration) -> str:
     return "".join(out)
 
 
+def config_to_str(config: Configuration) -> str:
+    """Serialize like `5+2-+46+13-`; letters above 9 force comma-separated
+    letters, e.g. `11,3+2-`.  Only a comma between two adjacent letters
+    marks that format, so a letter above 9 with no two letters adjacent
+    raises InputError: `(11, '+', 3)` would read back as 1, 1, 3."""
+    text = _written(config)
+    if "," not in text and max(config.sequence, default=0) > 9:
+        raise InputError(
+            f"configuration {config.items} has a letter above 9 and no two "
+            "adjacent letters, so no string reads back as it"
+        )
+    return text
+
+
 def config_from_str(
     text: str, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet
 ) -> Configuration:
     """Inverse of config_to_str: digits 0-9 are single letters unless the
     string contains commas, in which case runs of digits are whole letters
-    and each comma sits between two of them.  A letter 0, an empty field or
-    any other character raises InputError; whether the letters form a
-    sequence of the class (1..n for S_n) is the caller's check."""
+    and each comma sits between two of them.  So a string without a comma
+    has no letter above 9, and config_to_str refuses to write one that
+    should.  A letter 0, an empty field or any other character raises
+    InputError; whether the letters form a sequence of the class (1..n for
+    S_n) is the caller's check."""
     wide = "," in text
     items: list = []
     num = ""

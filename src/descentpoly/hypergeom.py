@@ -168,10 +168,6 @@ def _side_pair(prefactor: int, spec: HypergeometricSpec) -> tuple[int, int]:
     return prefactor * num, den
 
 
-def _side(prefactor: int, spec: HypergeometricSpec) -> Fraction:
-    return Fraction(*_side_pair(prefactor, spec))
-
-
 def _balanced_sides(
     profile: UVProfile, n: int, s: int
 ) -> tuple[tuple[int, int], tuple[int, int]]:

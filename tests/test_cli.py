@@ -123,6 +123,13 @@ class TestOtherCommands:
         back = run_json(capsys, "foata", "--perm", "43612758", "--inverse")
         assert back["result"]["image"] == "61437258"
 
+    def test_foata_letters_above_nine_print_with_commas(self, capsys):
+        perm, image = "10,1,4,3,7,2,5,8,9,6", "4,3,7,5,8,9,10,1,2,6"
+        record = run_json(capsys, "foata", "--perm", perm)
+        assert (record["inputs"]["perm"], record["result"]["image"]) == (perm, image)
+        back = run_json(capsys, "foata", "--perm", image, "--inverse")
+        assert back["result"]["image"] == perm
+
     def test_configs(self, capsys):
         record = run_json(
             capsys, "configs", "--n", "6", "--s", "1", "--r", "1",

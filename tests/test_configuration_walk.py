@@ -9,6 +9,7 @@ still held each class as one list.
 
 import hashlib
 import json
+import random
 import re
 from itertools import product
 
@@ -19,12 +20,16 @@ from descentpoly.cli import main
 from descentpoly.configurations import (
     Configuration,
     Flavor,
+    MalformedConfigurationError,
     _configs_by_sequence,
+    _legal,
     config_from_str,
+    config_to_str,
     enumerate_configs,
+    involution,
 )
 from descentpoly.perms import InputError
-from descentpoly.sets import ALL, explicit_set
+from descentpoly.sets import ALL, EMPTY, explicit_set
 from descentpoly.verify import VerificationError, sweep_configs
 
 
@@ -51,6 +56,51 @@ def test_wide_letters_still_parse():
     c = config_from_str("11,3+2", Flavor.STANDARD, explicit_set([11]), explicit_set([2]))
     assert c.sequence == (11, 3, 2)
     assert str(c) == "11,3+2"
+
+
+@pytest.mark.parametrize("items", [(11, "+", 3), (10, "+")])
+def test_wide_letters_with_no_comma_to_mark_them_are_not_written(items):
+    c = Configuration(items, Flavor.STANDARD, EMPTY, EMPTY)
+    with pytest.raises(InputError, match=re.escape(str(items))):
+        config_to_str(c)
+
+
+def _adjacent_letters(items) -> bool:
+    return any(isinstance(a, int) and isinstance(b, int) for a, b in zip(items, items[1:]))
+
+
+def test_seeded_configurations_round_trip_or_raise():
+    """Letters up to 12: the string reads back as the same configuration,
+    or config_to_str raises, exactly when a letter is above 9 and no two
+    letters are adjacent.  An illegal configuration still fails the
+    involution, whatever its letters."""
+    rng = random.Random(25)
+    gaps = ((), (), ("+",), ("-",), ("-", "+"), ("+", "+"), ("+", "-"))
+    seen = {"raised": 0, "wide_round_trip": 0, "illegal": 0}
+    for _ in range(600):
+        items = []
+        for letter in rng.sample(range(1, 13), rng.randint(1, 5)):
+            items += rng.choice(gaps)
+            items.append(letter)
+        items += rng.choice(gaps)
+        flavor = rng.choice(list(Flavor))
+        tops = explicit_set(rng.sample(range(1, 13), 4))
+        bottoms = explicit_set(rng.sample(range(1, 13), 4))
+        c = Configuration(items, flavor, tops, bottoms)
+        wide = max(c.sequence) > 9
+        if not _legal(c):
+            seen["illegal"] += 1
+            with pytest.raises(MalformedConfigurationError):
+                involution(c)
+        if wide and not _adjacent_letters(items):
+            seen["raised"] += 1
+            with pytest.raises(InputError, match="no string reads back"):
+                config_to_str(c)
+        elif _legal(c):
+            back = config_from_str(config_to_str(c), flavor, tops, bottoms)
+            assert back == c and back.items == tuple(items)
+            seen["wide_round_trip"] += wide
+    assert min(seen.values()) > 20, seen
 
 
 def test_walk_yields_each_sequence_once_in_order():

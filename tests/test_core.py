@@ -163,6 +163,8 @@ class TestPolynomials:
         b = BivarPolynomial({(1, 0): 2, (0, 1): 3})
         assert b.specialize_second(1).coeff_list() == [3, 2]
         assert b.specialize_first(2).coeff_list() == [4, 3]
+        assert (b.coeff(1, 0), b.coeff(0, 1), b.coeff(1, 1)) == (2, 3, 0)
+        assert b and not BivarPolynomial() and not BivarPolynomial({(2, 2): 0})
 
     def test_value_semantics_and_spelling(self):
         assert brute_poly(0, DescentQuery(ALL, ALL)) == 1

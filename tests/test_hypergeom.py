@@ -11,7 +11,7 @@ from descentpoly.hypergeom import (
     HypergeometricSpec,
     IllPosedSeriesError,
     UVProfile,
-    _side,
+    _side_pair,
     eval_terminating,
     pfaff_saalschutz_lhs,
     pfaff_saalschutz_rhs,
@@ -157,8 +157,8 @@ class TestEvaluation:
     def test_unbalanced_side_rejected_unless_its_prefactor_is_zero(self):
         unbalanced = HypergeometricSpec((-1,), (1,))
         with pytest.raises(ValueError, match="top sum -1, bottom sum 1"):
-            _side(1, unbalanced)
-        assert _side(0, unbalanced) == 0
+            _side_pair(1, unbalanced)
+        assert _side_pair(0, unbalanced) == (0, 1)
 
 
 class TestPfaffSaalschutz:
