@@ -12,7 +12,6 @@ from .closed_forms import (
     formula_alpha_beta,
     formula_beta_beta,
     formula_X_only_1,
-    formula_X_only_2,
 )
 from .polynomials import BivarPolynomial, IntPolynomial, binom, poch
 from .sets import ALL, EMPTY, EVENS, ODDS, IntegerSet, explicit_set, parse_set
@@ -46,7 +45,6 @@ __all__ = [
     "formula_alpha_beta",
     "formula_beta_beta",
     "formula_X_only_1",
-    "formula_X_only_2",
 ]
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ import functools
 import json
 import sys
 import time
+from math import factorial
 from typing import NamedTuple
 
 from . import configurations, rook, stats, words
@@ -122,7 +123,9 @@ def cmd_poly(args, inputs: dict) -> dict:
     elif method == "rook":
         poly, route = rook.hits_with_route(args.n, query)
     elif "rho" in args:
-        poly = words.word_brute_poly(rho, query.tops, query.bottoms)
+        # at most min(k!, 10⁶) words; k is clipped first, since 10! > 10⁶
+        limit = min(factorial(min(args.max_brute, 10)), words.DEFAULT_WORD_CAP)
+        poly = words.word_brute_poly(rho, query.tops, query.bottoms, limit)
     else:
         poly = stats.brute_poly(args.n, query, limit=args.max_brute)
     return {"coefficients": _poly_payload(poly), **route}
@@ -224,7 +227,11 @@ def build_parser() -> argparse.ArgumentParser:
         "and words, with cross-verified formulas.",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--max-brute", type=_size, default=stats.DEFAULT_BRUTE_CAP)
+    parser.add_argument(
+        "--max-brute", type=_size, default=stats.DEFAULT_BRUTE_CAP, metavar="K",
+        help="brute force walks at most K! sequences: S_n for n <= K, and a word "
+        "class of at most min(K!, 10^6) words (default: %(default)s)",
+    )
     parser.add_argument("--seed", type=int, default=0)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

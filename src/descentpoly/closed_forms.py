@@ -36,8 +36,6 @@ __all__ = [
     "formula_beta_beta",
     "formula_beta_beta_terms",
     "formula_X_only_1",
-    "formula_X_only_2",
-    "eulerian_sum",
     "rectangle_product",
     "kn_top_formulas",
     "kn_bottom_formulas",
@@ -160,16 +158,6 @@ def formula_beta_beta(n: int, s: int, tops: IntegerSet, bottoms: IntegerSet) -> 
 def formula_X_only_1(n: int, s: int, tops: IntegerSet) -> int:
     """Specialization with every bottom allowed (below-counts vanish)."""
     return formula_alpha_beta(n, s, tops, ALL)
-
-
-def formula_X_only_2(n: int, s: int, tops: IntegerSet) -> int:
-    return formula_beta_beta(n, s, tops, ALL)
-
-
-def eulerian_sum(n: int, s: int) -> int:
-    """Classical alternating sum for the Eulerian numbers, weights (1 + r)^n:
-    the alpha/beta form at X = Y = all."""
-    return formula_alpha_beta(n, s, ALL, ALL)
 
 
 def rectangle_product(m: int, u: int, v: int, s: int) -> int:

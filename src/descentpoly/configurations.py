@@ -237,10 +237,6 @@ def _legal(config: Configuration) -> bool:
     return _image(config._layout) is not None
 
 
-def _conditions_hold(items, flavor: Flavor, tops, bottoms) -> bool:
-    return _legal(Configuration(items, flavor, tops, bottoms))
-
-
 def _flip(minus_mask: int, plus_by_gap: tuple, required_mask: int):
     """The involution on a sign layout: None when a required gap lacks a
     '+', () at a fixed point, otherwise the flipped (minus_mask, plus_by_gap).

@@ -37,7 +37,6 @@ __all__ = [
     "height_structure",
     "canonical_distinct_rows",
     "rook_equivalent",
-    "hits_via_foata",
     "hits_with_route",
     "rook_route",
 ]
@@ -369,9 +368,3 @@ def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
                 below += 1
         r, route = ferrers_rook_numbers(_heights(counts)), {"rook_path": "ferrers"}
     return IntPolynomial(dict(enumerate(_hits_from_rooks(r, n)))), route
-
-
-def hits_via_foata(n: int, query: DescentQuery) -> IntPolynomial:
-    """Descent polynomial as the hit polynomial of the query's board."""
-    return hits_with_route(n, query)[0]
-

@@ -250,7 +250,7 @@ def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
         case = {"n": n, "tops": str(xset), "bottoms": str(yset)}
         query = DescentQuery(xset, yset)
         brute = stats.brute_poly(n, query)
-        hits = rook.hits_via_foata(n, query)
+        hits = rook.hits_with_route(n, query)[0]
         if hits != brute:
             raise VerificationError(
                 "hit polynomial disagrees with brute force",

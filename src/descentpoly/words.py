@@ -18,12 +18,10 @@ from .sets import IntegerSet
 from .stats import CapExceededError, DescentQuery
 
 __all__ = [
-    "rearrangement_count",
     "enumerate_rearrangements",
     "word_brute_poly",
     "word_form",
     "word_formula_1",
-    "word_formula_2",
     "standardize",
     "chi",
     "all_chi_factors",
@@ -37,11 +35,6 @@ def _check_rho(rho) -> tuple[int, ...]:
     if min(rho, default=0) < 0:
         raise InputError(f"composition parts must be >= 0: {rho}")
     return rho
-
-
-def rearrangement_count(rho) -> int:
-    """|R(rho)|, the multinomial coefficient."""
-    return multinomial(_check_rho(rho))
 
 
 def _rearrangements(rho, limit: int, changed: list[int]):
@@ -79,8 +72,11 @@ def enumerate_rearrangements(rho, limit: int = DEFAULT_WORD_CAP):
     return _rearrangements(rho, limit, [0])
 
 
-def word_brute_poly(rho, tops: IntegerSet, bottoms: IntegerSet) -> IntPolynomial:
-    """Sum over R(rho) of x^(number of matching descents).
+def word_brute_poly(
+    rho, tops: IntegerSet, bottoms: IntegerSet, limit: int = DEFAULT_WORD_CAP
+) -> IntPolynomial:
+    """Sum over R(rho) of x^(number of matching descents), for classes of at
+    most ``limit`` words (CapExceededError otherwise).
 
     The query is asked once per letter pair a > b, into a table.  run[i]
     counts the matching pairs among the first i + 1 letters of the current
@@ -94,7 +90,7 @@ def word_brute_poly(rho, tops: IntegerSet, bottoms: IntegerSet) -> IntPolynomial
     changed = [0]
     run = [0] * max(sum(rho), 1)
     counts = [0] * len(run)
-    for w in _rearrangements(rho, DEFAULT_WORD_CAP, changed):
+    for w in _rearrangements(rho, limit, changed):
         for i in range(changed[0] or 1, len(w)):
             run[i] = run[i - 1] + table[w[i - 1]][w[i]]
         counts[run[-1]] += 1
@@ -111,14 +107,6 @@ def word_form(
 def word_formula_1(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
     """Alternating sum with per-letter factors C(rho_x + r + alpha + beta, rho_x)."""
     return word_form(rho, tops, bottoms).coefficient(s)
-
-
-def word_formula_2(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
-    """Alternating sum with per-letter factors C(r + beta - beta', rho_x).
-
-    Upper factors may go negative; those binomials vanish by convention.
-    """
-    return word_form(rho, tops, bottoms, second=True).coefficient(s)
 
 
 def _rho_of(word, m: int | None = None) -> tuple[int, ...]:

@@ -182,6 +182,29 @@ class TestExitCodes:
         )
         assert code == EXIT_CAP
 
+    @pytest.mark.parametrize(
+        "cap, rho, message",
+        [
+            (["--max-brute", "3"], "3,3", "|R((3, 3))| = 20 exceeds the cap 6"),
+            ([], "4,4,4,4", "|R((4, 4, 4, 4))| = 63063000 exceeds the cap 1000000"),
+        ],
+        ids=["3! words", "default"],
+    )
+    def test_word_brute_force_walks_at_most_k_factorial_words(
+        self, capsys, cap, rho, message
+    ):
+        code, out, err = run(capsys, *cap, "word-poly", "--rho", rho, "--x", "{2,3}",
+                             "--y", "{1}", "--method", "brute")
+        assert (code, out) == (EXIT_CAP, "")
+        assert err == f"cap exceeded: {message}\n"
+
+    @pytest.mark.parametrize("cap", ["4", "10", "1000000"])
+    def test_word_brute_force_under_the_cap_flag(self, capsys, cap):
+        # 4! = 24 >= 20 words; a large K clips to the 10⁶-word cap at once
+        record = run_json(capsys, "--max-brute", cap, "word-poly", "--rho", "3,3",
+                          "--x", "{2,3}", "--y", "{1}", "--method", "brute")
+        assert record["result"] == {"coefficients": {"0": "1", "1": "9", "2": "9", "3": "1"}}
+
 
 class TestInputChecks:
     @pytest.mark.parametrize(

@@ -20,6 +20,9 @@ README_RECORDS = {
     "poly --n 6 --x {2,3,4,6,7,9} --y {1,4,8} --method rook": (
         "poly", "rook", {"n": 6, "x": "{2,3,4,6,7,9}", "y": "{1,4,8}", "z": "all"},
     ),
+    "poly --n 8 --x geq:5|{2} --y mod:2:1 --method rook": (
+        "poly", "rook", {"n": 8, "x": "geq:5|{2}", "y": "mod:2:1", "z": "all"},
+    ),
     "xyz --n 8 --x all --y all --z {1}": (
         "xyz", "rook", {"n": 8, "x": "all", "y": "all", "z": "{1}"},
     ),
@@ -203,7 +206,7 @@ def test_input_errors_are_typed():
         lambda: parse_permutation("12x"),
         lambda: parse_permutation("1134"),
         lambda: parse_set("mod:3"),
-        lambda: words.rearrangement_count((2, -1)),
+        lambda: words.word_form((2, -1), ALL, ALL),
         lambda: configurations.config_from_str("1a2", flavor, ALL, ALL),
         lambda: configurations.config_from_str("3-21", flavor, ALL, ALL),
     ):

@@ -5,12 +5,10 @@ from math import factorial
 import pytest
 
 from descentpoly.closed_forms import (
-    eulerian_sum,
     formula_alpha_beta,
     formula_alpha_beta_terms,
     formula_beta_beta,
     formula_X_only_1,
-    formula_X_only_2,
     kn_bottom_formulas,
     kn_top_formulas,
     permutation_form,
@@ -45,7 +43,6 @@ class TestPinnedValues:
         for n in range(1, 8):
             poly = brute_poly(n, DescentQuery(ALL, ALL))
             for s in range(n + 1):
-                assert eulerian_sum(n, s) == poly.coeff(s)
                 assert formula_alpha_beta(n, s, ALL, ALL) == poly.coeff(s)
 
 
@@ -62,7 +59,7 @@ class TestSweep:
                 brute = brute_poly(n, DescentQuery(tops, ALL))
                 for s in range(n + 1):
                     assert formula_X_only_1(n, s, tops) == brute.coeff(s)
-                    assert formula_X_only_2(n, s, tops) == brute.coeff(s)
+                    assert formula_beta_beta(n, s, tops, ALL) == brute.coeff(s)
 
 
 class TestProductForms:
@@ -124,7 +121,7 @@ class TestSpecialCasesPastTheCap:
     @pytest.mark.parametrize("n", [20, 40, 60])
     def test_eulerian_against_recursion(self, n):
         poly = recursion_bivar(n, ALL, ALL).specialize_second(1)
-        assert [eulerian_sum(n, s) for s in range(n + 2)] == [
+        assert [formula_alpha_beta(n, s, ALL, ALL) for s in range(n + 2)] == [
             poly.coeff(s) for s in range(n + 2)
         ]
 

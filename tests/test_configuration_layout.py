@@ -22,9 +22,9 @@ from descentpoly.configurations import (
     Configuration,
     Flavor,
     MalformedConfigurationError,
-    _conditions_hold,
     _flip,
     _layout,
+    _legal,
     _required_mask,
     _sign_layouts,
     config_from_str,
@@ -44,7 +44,7 @@ def _docstring_flip(config):
         if it not in (PLUS, MINUS):
             continue
         flipped = items[:idx] + (MINUS if it == PLUS else PLUS,) + items[idx + 1 :]
-        if _conditions_hold(flipped, config.flavor, config.tops, config.bottoms):
+        if _legal(Configuration(flipped, config.flavor, config.tops, config.bottoms)):
             return flipped
     return items
 

@@ -27,7 +27,6 @@ from descentpoly.words import (
     word_brute_poly,
     word_form,
     word_formula_1,
-    word_formula_2,
 )
 
 atoms_st = st.one_of(
@@ -77,7 +76,7 @@ def test_word_kernels_match_enumeration(rho, tops, bottoms):
     assert poly1(1) == multinomial(rho)
     for s in range(sum(rho) + 2):
         assert word_formula_1(rho, s, tops, bottoms) == poly1.coeff(s)
-        assert word_formula_2(rho, s, tops, bottoms) == poly2.coeff(s)
+        assert word_form(rho, tops, bottoms, second=True).coefficient(s) == poly2.coeff(s)
 
 
 GRID_SETS = [

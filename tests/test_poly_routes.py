@@ -17,6 +17,8 @@ from descentpoly.stats import DescentQuery, brute_poly
 from descentpoly.words import word_brute_poly
 
 X, Y, Z = "{2,3,5,6}", "{1,2,4}", "{1,3}"
+# a half-line in a union, odd bottoms, and a half-line of differences
+X8, Y8, Z8 = "geq:5|{2}", "mod:2:1", "geq:2"
 PINNED = {
     "poly": (("brute", "recursion", "formula1", "formula2", "rook"), "recursion"),
     "xyz": (("brute", "rook"), "rook"),
@@ -59,15 +61,17 @@ def test_choices_and_defaults_are_pinned():
     "command, method", [(c, m) for c in ("poly", "xyz") for m in PINNED[c][0]]
 )
 def test_each_method_gives_the_brute_force_coefficients(capsys, command, method):
-    cases = [((), DescentQuery(parse_set(X), parse_set(Y)))]
-    if method in Z_METHODS:
-        cases.append((("--z", Z), DescentQuery(parse_set(X), parse_set(Y), parse_set(Z))))
-    for z_argv, query in cases:
-        record = run_json(
-            capsys, command, "--n", "6", "--x", X, "--y", Y, *z_argv, "--method", method
-        )
-        assert record["result"]["coefficients"] == _payload(brute_poly(6, query))
-        assert (record["command"], record["method"]) == (command, method)
+    for n, x, y, z in ((6, X, Y, Z), (8, X8, Y8, Z8)):
+        cases = [((), DescentQuery(parse_set(x), parse_set(y)))]
+        if method in Z_METHODS:
+            cases.append((("--z", z), DescentQuery(parse_set(x), parse_set(y), parse_set(z))))
+        for z_argv, query in cases:
+            record = run_json(
+                capsys, command, "--n", str(n), "--x", x, "--y", y, *z_argv,
+                "--method", method,
+            )
+            assert record["result"]["coefficients"] == _payload(brute_poly(n, query))
+            assert (record["command"], record["method"]) == (command, method)
 
 
 @pytest.mark.parametrize("method", ["recursion", "formula1", "formula2"])

@@ -7,12 +7,11 @@ from itertools import permutations
 
 import pytest
 
-from descentpoly.polynomials import IntPolynomial
+from descentpoly.polynomials import IntPolynomial, multinomial
 from descentpoly.sets import explicit_set, parse_set
 from descentpoly.stats import CapExceededError, DescentQuery
 from descentpoly.words import (
     enumerate_rearrangements,
-    rearrangement_count,
     word_brute_poly,
     word_form,
 )
@@ -29,7 +28,7 @@ def test_lexicographic_order_of_every_rearrangement(rho):
     expected = sorted(set(permutations(letters)))
     got = list(enumerate_rearrangements(rho))
     assert got == expected
-    assert len(got) == rearrangement_count(rho)
+    assert len(got) == multinomial(rho)
     assert all(type(w) is tuple for w in got)
 
 
@@ -79,5 +78,5 @@ def test_brute_force_on_words_keeps_the_cap_message():
     rho = (4, 4, 4, 4)
     with pytest.raises(CapExceededError) as err:
         word_brute_poly(rho, parse_set("all"), parse_set("all"))
-    count = rearrangement_count(rho)
+    count = multinomial(rho)
     assert str(err.value) == f"|R({rho})| = {count} exceeds the cap 1000000"

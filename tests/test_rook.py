@@ -19,7 +19,7 @@ from descentpoly.rook import (
     hit_numbers_enumerate,
     hit_polynomial,
     hit_polynomial_permanent,
-    hits_via_foata,
+    hits_with_route,
     rook_equivalent,
     rook_numbers,
     row_lengths,
@@ -95,7 +95,7 @@ class TestHitNumbers:
     def test_hit_polynomial_equals_descent_polynomial(self):
         for n in range(1, 8):
             q = DescentQuery(explicit_set([2, 4, 5, 7]), explicit_set([1, 3, 4]))
-            assert hits_via_foata(n, q) == brute_poly(n, q)
+            assert hits_with_route(n, q)[0] == brute_poly(n, q)
 
     def test_two_block_board_with_difference_set(self):
         # tops 4,5,0 mod 6, bottoms 1,2,3 mod 6, differences 1..6 at n = 12:

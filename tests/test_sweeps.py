@@ -157,6 +157,14 @@ def _plus_one(real):
     return lambda *args, **kwargs: real(*args, **kwargs) + 1
 
 
+def _plus_one_with_route(real):
+    """hits_with_route with one added to its polynomial; the route stays."""
+    def patched(*args):
+        poly, route = real(*args)
+        return poly + 1, route
+    return patched
+
+
 def _foata_sweep(max_n, pairs):
     """sweep_foata at the table's sizes: ``pairs`` seeded queries per n."""
     return verify.sweep_foata(max_n, queries=pairs)
@@ -201,7 +209,7 @@ SETS = [("tops", "{2,3}"), ("bottoms", "{1,3,4}")]
         (configurations, "involution", _reversed,
          verify.sweep_configs, "involution does not reverse sign",
          [("configuration", "1234"), ("image", "4321")]),
-        (rook, "hits_via_foata", _plus_one(rook.hits_via_foata),
+        (rook, "hits_with_route", _plus_one_with_route(rook.hits_with_route),
          verify.sweep_rook, "hit polynomial disagrees with brute force",
          [("n", 4)] + SETS + [("hits", [13, 12]), ("brute", [12, 12])]),
         (rook, "canonical_distinct_rows", lambda board: (board, ALL),

@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from descentpoly.perms import InputError, from_cycles
-from descentpoly.polynomials import binom
+from descentpoly.polynomials import binom, multinomial
 from descentpoly.sets import ALL, EVENS, explicit_set
 from descentpoly.stats import CapExceededError, DescentQuery, brute_poly, des_set
 from descentpoly.verify import sweep_words
@@ -13,17 +13,16 @@ from descentpoly.words import (
     all_chi_factors,
     chi,
     enumerate_rearrangements,
-    rearrangement_count,
     standardize,
     word_brute_poly,
+    word_form,
     word_formula_1,
-    word_formula_2,
 )
 
 
 class TestEnumeration:
     def test_counts_and_order(self):
-        assert rearrangement_count((2, 1)) == 3
+        assert multinomial((2, 1)) == 3
         ws = list(enumerate_rearrangements((2, 1)))
         assert ws == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
 
@@ -33,7 +32,7 @@ class TestEnumeration:
 
     def test_total_mass(self):
         poly = word_brute_poly((2, 2, 1), explicit_set([3]), ALL)
-        assert poly(1) == rearrangement_count((2, 2, 1)) == 30
+        assert poly(1) == multinomial((2, 2, 1)) == 30
 
 
 class TestFormulas:
@@ -45,7 +44,7 @@ class TestFormulas:
         for s in range(sum(rho) + 1):
             assert (
                 word_formula_1(rho, s, tops, bottoms)
-                == word_formula_2(rho, s, tops, bottoms)
+                == word_form(rho, tops, bottoms, second=True).coefficient(s)
                 == brute.coeff(s)
             )
 
