@@ -171,7 +171,7 @@ def cmd_configs(args, inputs: dict) -> dict:
         "staged_count": staged,
         "configurations": [str(c) for c in configs] if args.list else None,
     }
-    if args.trace:
+    if args.trace is not None:
         c = configurations.config_from_str(args.trace, flavor, tops, bottoms)
         if len(c.sequence) != args.n:
             raise InputError(f"trace {args.trace!r} is not on the letters 1..{args.n}")
@@ -278,7 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hypergeom", help="hypergeometric identity suites")
     p.add_argument("--suite", choices=("pfaff", "balanced", "cor35"), default="pfaff")
-    p.add_argument("--max", type=_size, default=5)
+    p.add_argument("--max", type=_size, default=5, metavar="M",
+                   help="pfaff: a, b in [-M, 0], n <= M, c in [-2M, M]; "
+                        "cor35: k, m <= M; balanced: not read (fixed profiles)")
     p.set_defaults(func=cmd_hypergeom, method="exact")
 
     p = sub.add_parser("verify", help="cross-check sweeps")

@@ -2,9 +2,9 @@
 
 Coefficients are Python ints (arbitrary precision); zero coefficients are
 never stored.  These are deliberately small sparse-dict classes: the whole
-package depends on exact arithmetic, and the routes need no more than
-construction, reading coefficients, ``+``, ``*``, evaluation and (for the
-two-variable class) specialization of one variable.
+package depends on exact arithmetic, and the routes compute on plain lists
+of ints.  The classes need no more than construction, reading coefficients,
+equality and (for the two-variable class) specialization of one variable.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class IntPolynomial:
     def from_coeffs(cls, seq) -> "IntPolynomial":
         return cls({e: v for e, v in enumerate(seq)})
 
-    @classmethod
-    def monomial(cls, e: int, v: int = 1) -> "IntPolynomial":
-        return cls({e: v})
-
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
 
@@ -95,30 +91,6 @@ class IntPolynomial:
 
     def __hash__(self):
         return hash(frozenset(self._c.items()))
-
-    def __add__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            other = IntPolynomial({0: other})
-        c = dict(self._c)
-        for e, v in other._c.items():
-            c[e] = c.get(e, 0) + v
-        return IntPolynomial(c)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial({e: v * other for e, v in self._c.items()})
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in other._c.items():
-                c[e1 + e2] = c.get(e1 + e2, 0) + v1 * v2
-        return IntPolynomial(c)
-
-    __rmul__ = __mul__
-
-    def __call__(self, x):
-        return sum(v * x**e for e, v in self._c.items())
 
     def __repr__(self) -> str:
         if not self._c:

@@ -184,6 +184,8 @@ def ferrers_rook_numbers(heights: list[int]) -> list[int]:
     n = len(heights)
     if any(a > b for a, b in zip(heights, heights[1:])):
         raise NotFerrersError("height vector must be weakly increasing")
+    if heights and heights[0] < 0:
+        raise InputError(f"height {heights[0]} is negative")
     r = [1]
     for h in heights:
         if not h:
@@ -253,27 +255,27 @@ def hit_polynomial_permanent(board: Board) -> IntPolynomial:
     The matrix with x on board cells and 1 elsewhere has permanent
     Sigma_omega x^(hits); the inclusion-exclusion permanent expansion
     evaluates it in 2^n column subsets instead of n! permutations, while
-    still being the same sum over all placements.
+    still being the same sum over all placements.  For a subset S, row i
+    contributes the factor a·x + b with a = |S ∩ row i| and b = |S| - a;
+    their product is built on one coefficient list, new[k] = b·old[k] +
+    a·old[k-1], and added into the total with sign (-1)^(n-|S|).
     """
     n = board.n
     if n > PERMANENT_CAP:
         raise CapExceededError(f"permanent path capped at n <= {PERMANENT_CAP}")
-    row_masks = [0] * (n + 1)
+    row_masks = [0] * n
     for i, j in board.cells:
-        row_masks[i] |= 1 << (j - 1)
-    x = IntPolynomial.monomial(1)
-    total = IntPolynomial()
+        row_masks[i - 1] |= 1 << (j - 1)
+    total = [0] * (n + 1)
     for mask in range(1 << n):
-        size = bin(mask).count("1")
-        sign = (-1) ** (n - size)
-        term = IntPolynomial({0: sign})
-        for i in range(1, n + 1):
-            on_board = bin(mask & row_masks[i]).count("1")
-            term = term * (on_board * x + (size - on_board))
-            if not term:
-                break
-        total = total + term
-    return total
+        size = mask.bit_count()
+        term = [1]
+        for row in row_masks:
+            a = (mask & row).bit_count()
+            b = size - a
+            term = [b * hi + a * lo for hi, lo in zip(term + [0], [0] + term)]
+        total = list(map(sub if (n - size) % 2 else add, total, term))
+    return IntPolynomial.from_coeffs(total)
 
 
 def u_excedences(omega, board: Board) -> int:

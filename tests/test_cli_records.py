@@ -239,6 +239,7 @@ CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y"
     [
         (CONFIGS_N3 + ["--trace", "9+"], "trace '9+' is not on the letters 1..3"),
         (CONFIGS_N3 + ["--trace", "2+1"], "trace '2+1' is not on the letters 1..3"),
+        (CONFIGS_N3 + ["--trace", ""], "trace '' is not on the letters 1..3"),
         (CONFIGS_N3 + ["--trace", "9+12"], "not a permutation of 1..3: (9, 1, 2)"),
         (["verify", "--suite", "formulas", "--max-n", "-1"],
          "argument --max-n: n must be >= 0"),
@@ -267,6 +268,15 @@ def test_trace_on_the_class_letters_still_answers(capsys):
     code, out, _ = run(capsys, *CONFIGS_N3, "--trace", "2+13")
     assert code == EXIT_OK
     assert json.loads(out)["result"]["trace"] == {"input": "2+13", "image": "2+13"}
+
+
+def test_empty_trace_at_n_0_maps_the_empty_configuration(capsys):
+    code, out, _ = run(capsys, "configs", "--n", "0", "--s", "0", "--r", "0",
+                       "--x", "all", "--y", "all", "--list", "--trace", "")
+    assert code == EXIT_OK
+    result = json.loads(out)["result"]
+    assert result["configurations"] == [""]
+    assert result["trace"] == {"input": "", "image": ""}
 
 
 BOARD_TEXT = [

@@ -61,7 +61,7 @@ def test_permutation_kernel_matches_every_route(n, tops, bottoms):
     for s in range(n + 2):
         assert formula_alpha_beta(n, s, tops, bottoms) == poly1.coeff(s)
         assert formula_beta_beta(n, s, tops, bottoms) == poly2.coeff(s)
-    assert poly1(1) == factorial(n)
+    assert sum(poly1.coeff_list()) == factorial(n)
     if n <= 7:
         assert poly1 == brute_poly(n, DescentQuery(tops, bottoms))
 
@@ -73,7 +73,7 @@ def test_word_kernels_match_enumeration(rho, tops, bottoms):
     poly1 = word_form(rho, tops, bottoms).polynomial()
     poly2 = word_form(rho, tops, bottoms, second=True).polynomial()
     assert poly1 == poly2 == brute
-    assert poly1(1) == multinomial(rho)
+    assert sum(poly1.coeff_list()) == multinomial(rho)
     for s in range(sum(rho) + 2):
         assert word_formula_1(rho, s, tops, bottoms) == poly1.coeff(s)
         assert word_form(rho, tops, bottoms, second=True).coefficient(s) == poly2.coeff(s)

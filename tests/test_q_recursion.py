@@ -1,8 +1,9 @@
-"""The prefix-sum q-recursion against a dict-of-polynomials recursion, the
-palindromes it relies on, and the q-poly record built from it."""
+"""The prefix-sum q-recursion against a recursion on lists of q-coefficients,
+the palindromes it relies on, and the q-poly record built from it."""
 
 import json
 import random
+from itertools import zip_longest
 
 import pytest
 
@@ -16,32 +17,43 @@ NAMED_TOPS = ["all", "{}", "mod:2:0", "mod:3:1", "mod:4:0,2"]
 
 
 def _q_int(m):
-    return IntPolynomial({e: 1 for e in range(m)})
+    """[m]_q = 1 + q + ... + q^(m-1) as a list of q-coefficients."""
+    return [1] * m
+
+
+def _times(p, q):
+    """Product of two lists of q-coefficients, by convolution."""
+    out = [0] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def _oracle(n, tops):
-    """The insertion recursion with one IntPolynomial in q per power of x,
-    multiplying by q-integers term by term."""
-    by_s = {0: IntPolynomial({0: 1})}
+    """The insertion recursion with one list of q-coefficients per power of
+    x, multiplying by q-integers term by term."""
+    by_s = {0: [1]}
     for m in range(check_size(n)):
         new = {}
 
         def add(s, p):
-            if p:
-                new[s] = new.get(s, IntPolynomial()) + p
+            if any(p):
+                old = new.get(s, [])
+                new[s] = [a + b for a, b in zip_longest(old, p, fillvalue=0)]
 
         in_tops = (m + 1) in tops
         for s, c in by_s.items():
             if in_tops:
-                add(s, c * _q_int(s + 1))
-                add(s + 1, c * IntPolynomial.monomial(s + 1) * _q_int(m - s))
+                add(s, _times(c, _q_int(s + 1)))
+                add(s + 1, [0] * (s + 1) + _times(c, _q_int(m - s)))
             else:
                 if s > 0:
-                    add(s - 1, c * _q_int(s))
-                add(s, c * IntPolynomial.monomial(s) * _q_int(m + 1 - s))
+                    add(s - 1, _times(c, _q_int(s)))
+                add(s, [0] * s + _times(c, _q_int(m + 1 - s)))
         by_s = new
     return BivarPolynomial(
-        {(eq, s): v for s, p in by_s.items() for eq, v in p.items()}
+        {(eq, s): v for s, p in by_s.items() for eq, v in enumerate(p)}
     )
 
 
@@ -54,10 +66,10 @@ def _tops_sets():
 
 
 def _q_factorial(n):
-    out = IntPolynomial({0: 1})
+    out = [1]
     for k in range(1, n + 1):
-        out = out * _q_int(k)
-    return out
+        out = _times(out, _q_int(k))
+    return IntPolynomial.from_coeffs(out)
 
 
 @pytest.mark.parametrize("n", range(0, 13))

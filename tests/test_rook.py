@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from descentpoly.perms import InputError, all_permutations, from_cycles
-from descentpoly.polynomials import binom
+from descentpoly.polynomials import IntPolynomial, binom
 from descentpoly.rook import (
     Board,
     NotFerrersError,
@@ -242,6 +242,27 @@ def test_foata_inverse_rejects_non_permutations(bad):
 def test_ferrers_rook_numbers_rejects_falling_heights():
     with pytest.raises(NotFerrersError, match="weakly increasing"):
         ferrers_rook_numbers([2, 1])
+
+
+def test_ferrers_rook_numbers_rejects_negative_heights():
+    with pytest.raises(InputError, match="^height -2 is negative$"):
+        ferrers_rook_numbers([-2, 0])
+
+
+EULERIAN = [[1], [1, 0], [1, 1, 0], [1, 4, 1, 0]]  # by excedences, padded to n + 1
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("full", [False, True], ids=["empty", "staircase"])
+def test_permanent_matches_enumeration_at_small_n(n, full):
+    """The 0 x 0 permanent is 1, and the empty column subset makes every
+    row factor 0.  The full staircase counts excedences: the Eulerian
+    numbers."""
+    cells = {(i, j) for i in range(1, n + 1) for j in range(1, i)} if full else set()
+    board = Board(n, frozenset(cells))
+    hits = hit_numbers_enumerate(board)
+    assert hits == (EULERIAN[n] if full else [factorial(n)] + [0] * n)
+    assert hit_polynomial_permanent(board) == IntPolynomial.from_coeffs(hits)
 
 
 def _tops_by_row_lengths(board):

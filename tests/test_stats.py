@@ -69,7 +69,7 @@ class TestRecursions:
 
     def test_recursion_scales_past_the_brute_cap(self):
         poly = recursion_bivar(40, EVENS, ALL).specialize_second(1)
-        assert poly(1) == factorial(40)
+        assert sum(poly.coeff_list()) == factorial(40)
 
     def test_brute_cap(self):
         with pytest.raises(CapExceededError):

@@ -176,7 +176,7 @@ def test_negative_parts_are_input_errors_for_every_s_and_r():
 
 
 def test_the_empty_composition_is_the_class_of_the_empty_word():
-    one = IntPolynomial.monomial(0)
+    one = IntPolynomial({0: 1})
     tops = explicit_set([1])
     assert word_brute_poly((), tops, ALL) == one
     assert word_form((), tops, ALL).polynomial() == one
