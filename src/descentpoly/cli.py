@@ -74,7 +74,7 @@ def _query(args, inputs: dict) -> DescentQuery:
     inputs.update(x=str(tops), y=str(bottoms))
     diffs = ALL
     if "z" in args:
-        diffs = parse_set(args.z) if args.z else ALL
+        diffs = ALL if args.z is None else parse_set(args.z)
         inputs["z"] = str(diffs)
     return DescentQuery(tops, bottoms, diffs)
 
@@ -211,7 +211,8 @@ def cmd_verify(args, inputs: dict) -> dict:
 
 
 def _size(text: str) -> int:
-    """argparse type for --n, --max, --max-n and --max-brute: an integer >= 0."""
+    """argparse type for --n, --s, --r, --max, --max-n and --max-brute: an
+    integer >= 0."""
     try:
         return check_size(parse_int(text, "n"))
     except InputError as err:
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("configs", help="signed configurations and involution")
     p.add_argument("--n", type=_size, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--s", type=_size, required=True)
+    p.add_argument("--r", type=_size, required=True)
     add_sets(p)
     p.add_argument("--flavor", choices=("standard", "overline"), default="standard")
     p.add_argument("--list", action="store_true")

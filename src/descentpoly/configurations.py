@@ -19,16 +19,18 @@ Both rules act gap by gap: gap g (0..len(sequence)) holds the signs between
 letter g and letter g + 1.  Since a '-' may only open its gap, a legal array
 is its sequence plus a sign layout: the gaps that open with a '-' and the
 number of '+'s in each gap.  Configurations are stored that way, their
-item tuples are built only when read, and configurations with the same
+item tuples are built when read, and the constructor refuses an illegal
+array, so every configuration is legal.  Configurations with the same
 layout and required gaps share one layout object, which keeps the
-involution's image of that layout once it is computed.
+involution's image of that layout once it is computed; a sweep can check
+the involution on layouts alone.
 """
 
 from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .perms import InputError, check_size
 from .polynomials import binom
@@ -67,11 +69,10 @@ _new = object.__new__
 
 class _Layout:
     """A sign layout and its required gaps (see `Configuration`), shared by
-    every configuration that carries it.  `_layout` interns each layout whose
-    '-'s open their gaps; a layout with a stray '-' has `minus_mask` None and
-    is never interned.  `image`, the involution's one memo, is None until
-    `_image` first flips a legal layout: then it is the interned layout
-    that `_flip` maps this one to, or the layout itself at a fixed point.
+    every configuration that carries it, interned by `_layout`.  `image`, the
+    involution's one memo, is None until `_image` first flips a legal
+    layout: then it is the interned layout that `_flip` maps this one to, or
+    the layout itself at a fixed point.
     """
 
     __slots__ = ("minus_mask", "plus_by_gap", "required_mask", "minus_count", "image")
@@ -99,18 +100,18 @@ class Configuration:
     with a '-', `plus_by_gap[g]` counts the '+'s in gap g, and bit g of
     `required_mask` is set when the flavor's rules ask gap g for a '+'; all
     three are read off the layout, which configurations with the same signs
-    in the same gaps share.  An array with a '-' that does not open its gap
-    has no sign layout: it keeps its items, its `minus_mask` is None, and
-    `involution` rejects it.  Letters must be positive integers (InputError
-    otherwise); whether they belong to the class, 1..n for S_n, is the
-    caller's check, as in the CLI's `configs --trace`.
+    in the same gaps share.  An illegal array, with a '-' that does not open
+    its gap or a required gap without a '+', raises
+    MalformedConfigurationError naming the array.  Letters must be positive
+    integers (InputError otherwise); whether they belong to the class, 1..n
+    for S_n, is the caller's check, as in the CLI's `configs --trace`.
 
     Equality and hashing follow the encoding, whether or not two layouts are
     the same object.  Treat instances as frozen: after construction only the
-    cache behind `items` is written, and the shared layout's `image`, once.
+    shared layout's `image` is written, once.
     """
 
-    __slots__ = ("sequence", "_layout", "flavor", "tops", "bottoms", "_items")
+    __slots__ = ("sequence", "_layout", "flavor", "tops", "bottoms")
 
     def __init__(self, items, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet):
         items = tuple(items)
@@ -135,20 +136,19 @@ class Configuration:
             else:
                 minus_mask = None
             opens_gap = False
-        required = _required_mask(seq, flavor, tops, bottoms)
-        if minus_mask is None:
-            layout = _Layout(None, tuple(plus), required, items.count(MINUS))
-        else:
+        if minus_mask is not None:
+            required = _required_mask(seq, flavor, tops, bottoms)
             layout = _layout(minus_mask, tuple(plus), required)
+        if minus_mask is None or _image(layout) is None:
+            raise MalformedConfigurationError(_written(items))
         self.sequence = seq
         self._layout = layout
         self.flavor = flavor
         self.tops = tops
         self.bottoms = bottoms
-        self._items = items
 
     @property
-    def minus_mask(self):
+    def minus_mask(self) -> int:
         return self._layout.minus_mask
 
     @property
@@ -161,10 +161,8 @@ class Configuration:
 
     @property
     def items(self) -> tuple:
-        if self._items is None:
-            layout = self._layout
-            self._items = _assemble(self.sequence, layout.minus_mask, layout.plus_by_gap)
-        return self._items
+        layout = self._layout
+        return _assemble(self.sequence, layout.minus_mask, layout.plus_by_gap)
 
     @property
     def plus_count(self) -> int:
@@ -183,12 +181,7 @@ class Configuration:
             return NotImplemented
         a, b = self._layout, other._layout
         return (
-            (
-                a is b
-                or a.minus_mask == b.minus_mask
-                and a.plus_by_gap == b.plus_by_gap
-            )
-            and (a.minus_mask is not None or self._items == other._items)
+            _same(a, b)
             and self.sequence == other.sequence
             and self.flavor is other.flavor
             and (self.tops is other.tops or self.tops == other.tops)
@@ -197,13 +190,11 @@ class Configuration:
 
     def __hash__(self) -> int:
         layout = self._layout
-        stray = self._items if layout.minus_mask is None else None
         return hash(
             (
                 self.sequence,
                 layout.minus_mask,
                 layout.plus_by_gap,
-                stray,
                 self.flavor,
                 self.tops,
                 self.bottoms,
@@ -228,13 +219,12 @@ def _layout_config(seq, layout, flavor, tops, bottoms):
     config.flavor = flavor
     config.tops = tops
     config.bottoms = bottoms
-    config._items = None
     return config
 
 
-def _legal(config: Configuration) -> bool:
-    """Every '-' opens its gap and every required gap holds a '+'."""
-    return _image(config._layout) is not None
+def _same(a: _Layout, b: _Layout) -> bool:
+    """Equal signs in equal gaps, whether or not the layouts are one object."""
+    return a is b or a.minus_mask == b.minus_mask and a.plus_by_gap == b.plus_by_gap
 
 
 def _flip(minus_mask: int, plus_by_gap: tuple, required_mask: int):
@@ -265,7 +255,7 @@ def _image(layout: _Layout):
     """The interned layout the involution maps this one to (itself at a fixed
     point), flipped once and kept; None when the layout is illegal."""
     image = layout.image
-    if image is None and layout.minus_mask is not None:
+    if image is None:
         required = layout.required_mask
         flipped = _flip(layout.minus_mask, layout.plus_by_gap, required)
         if flipped is not None:
@@ -283,10 +273,9 @@ def involution(config: Configuration) -> Configuration:
     required-plus gap or holds another '+'.  On the layout, the first
     flippable sign leads the first gap that opens with a '-', holds two
     '+'s, or holds an unrequired '+'; `_image` finds it once per layout.
+    A configuration is legal, so its layout always has an image.
     """
     image = _image(config._layout)
-    if image is None:
-        raise MalformedConfigurationError(_written(config))
     if image is config._layout:
         return config
     return _layout_config(
@@ -377,15 +366,14 @@ def enumerate_configs(
     or must hold a '+'.  Sequences with the same required-plus gaps share
     one list of sign layouts.
     """
-    return list(
-        chain.from_iterable(_configs_by_sequence(flavor, s, r, tops, bottoms, n, rho))
-    )
+    walk = _layouts_by_sequence(flavor, s, r, tops, bottoms, n, rho)
+    return [_layout_config(seq, layout, flavor, tops, bottoms)
+            for seq, layouts in walk for layout in layouts]
 
 
-def _configs_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
-    """`enumerate_configs` one sequence at a time: yields each sequence's
-    configurations as a list, in the same order, so a caller that walks a
-    class holds one sequence's configurations instead of the whole class."""
+def _layouts_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
+    """`enumerate_configs` one sequence at a time, as (sequence, interned
+    layouts) pairs in the same order, without building configurations."""
     rho = _composition(n, rho)
     length = sum(rho)
     if length > CONFIG_CAP:
@@ -404,7 +392,7 @@ def _configs_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
                 for minus, plus in _sign_layouts(length + 1, r, n_minus, required)
             ]
             layouts_by_required[required] = layouts
-        yield [_layout_config(seq, layout, flavor, tops, bottoms) for layout in layouts]
+        yield seq, layouts
 
 
 def fixed_point_from_seq(seq, flavor: Flavor, tops, bottoms) -> Configuration:
@@ -439,12 +427,12 @@ def staged_count(
     return form.prefactor * form.weight(r) * binom(form.n + 1, n_minus)
 
 
-def _written(config: Configuration) -> str:
+def _written(items) -> str:
     """The items as config_to_str writes them, without its round-trip check."""
-    wide = max(config.sequence, default=0) > 9
+    wide = any(isinstance(it, int) and it > 9 for it in items)
     out = []
     prev_was_letter = False
-    for it in config.items:
+    for it in items:
         if isinstance(it, int):
             if wide and prev_was_letter:
                 out.append(",")
@@ -461,7 +449,7 @@ def config_to_str(config: Configuration) -> str:
     letters, e.g. `11,3+2-`.  Only a comma between two adjacent letters
     marks that format, so a letter above 9 with no two letters adjacent
     raises InputError: `(11, '+', 3)` would read back as 1, 1, 3."""
-    text = _written(config)
+    text = _written(config.items)
     if "," not in text and max(config.sequence, default=0) > 9:
         raise InputError(
             f"configuration {config.items} has a letter above 9 and no two "
@@ -507,7 +495,7 @@ def config_from_str(
         else:
             raise InputError(f"bad character {ch!r} in configuration")
     flush()
-    config = Configuration(items, flavor, tops, bottoms)
-    if not _legal(config):
-        raise MalformedConfigurationError(text)
-    return config
+    try:
+        return Configuration(items, flavor, tops, bottoms)
+    except MalformedConfigurationError:
+        raise MalformedConfigurationError(text) from None  # as written, commas too

@@ -1,9 +1,11 @@
 """The parser is built once per process, and payloads are emitted unsorted.
 
 Neither may change what a command prints: one call must not leak into the
-next, and the emitters must sort keys on their own.
+next, and the emitters must sort keys on their own.  The parser writes out
+the `verify --suite` choices by hand, so a test pins them to the sweeps.
 """
 
+import argparse
 import json
 import random
 
@@ -16,6 +18,7 @@ from descentpoly.cli import (
     main,
 )
 from descentpoly.polynomials import IntPolynomial
+from descentpoly.verify import SUITES
 
 POLY_ARGV = ["poly", "--n", "5", "--x", "{2,3,5}", "--y", "{1,3,4}"]
 NINE_ARGV = ["poly", "--n", "9", "--x", "{2,4,5,7,9}", "--y", "{1,3,4,6,8}"]
@@ -29,6 +32,15 @@ def run(capsys, argv):
 
 def test_parser_is_built_once():
     assert build_parser() is build_parser()
+
+
+def test_verify_suite_choices_are_the_sweeps_and_all():
+    # the parser cannot read verify.SUITES without loading numpy at start-up
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    (suite,) = [a for a in commands.choices["verify"]._actions if a.dest == "suite"]
+    assert set(suite.choices) == set(SUITES) | {"all"}
+    assert len(suite.choices) == len(SUITES) + 1
 
 
 def test_method_default_survives_an_explicit_method(capsys):

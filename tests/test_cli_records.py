@@ -189,6 +189,10 @@ def test_internal_value_error_propagates(capsys, monkeypatch):
           "--trace", "1a2"], "bad character 'a' in configuration"),
         (["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y", "all",
           "--flavor", "overline", "--trace", "3-21"], "usage error: 3-21"),
+        (["xyz", "--n", "4", "--x", "all", "--y", "all", "--z", ""],
+         "usage error: cannot parse set syntax: ''"),
+        (["board", "--n", "4", "--x", "all", "--y", "all", "--z", ""],
+         "usage error: cannot parse set syntax: ''"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
@@ -246,6 +250,10 @@ CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y"
         (["hypergeom", "--max", "-1"], "argument --max: n must be >= 0"),
         (["--max-brute", "-1", "poly", "--n", "3", "--x", "all", "--y", "all",
           "--method", "brute"], "argument --max-brute: n must be >= 0"),
+        (["configs", "--n", "3", "--s", "-1", "--r", "0", "--x", "all", "--y", "all"],
+         "argument --s: n must be >= 0"),
+        (["configs", "--n", "3", "--s", "1", "--r", "-1", "--x", "all", "--y", "all"],
+         "argument --r: n must be >= 0"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

@@ -2,13 +2,14 @@
 
 `involution` works on the layout (which gaps open with a '-', how many '+'s
 each gap holds).  These tests read the module docstring's rule directly off
-the item tuple, check that arrays built item by item are rejected as
-before, that parsed and enumerated configurations are the same objects,
-and that configurations sharing one interned layout behave as if each held
-its own.
+the item tuple, check that illegal arrays built item by item are refused
+by the constructor, that parsed and enumerated configurations are the same
+objects, and that configurations sharing one interned layout behave as if
+each held its own.
 """
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, permutations, product
 from operator import add
@@ -24,7 +25,6 @@ from descentpoly.configurations import (
     MalformedConfigurationError,
     _flip,
     _layout,
-    _legal,
     _required_mask,
     _sign_layouts,
     config_from_str,
@@ -38,14 +38,18 @@ from descentpoly.words import enumerate_rearrangements
 
 
 def _docstring_flip(config):
-    """Flip each sign in turn, left to right; the first legal flip wins."""
+    """Flip each sign in turn, left to right; the first flip that the
+    constructor accepts as legal wins."""
     items = config.items
     for idx, it in enumerate(items):
         if it not in (PLUS, MINUS):
             continue
         flipped = items[:idx] + (MINUS if it == PLUS else PLUS,) + items[idx + 1 :]
-        if _legal(Configuration(flipped, config.flavor, config.tops, config.bottoms)):
-            return flipped
+        try:
+            Configuration(flipped, config.flavor, config.tops, config.bottoms)
+        except MalformedConfigurationError:
+            continue
+        return flipped
     return items
 
 
@@ -95,6 +99,13 @@ class TestInvolutionRule:
                 assert _assert_docstring_rule(configs) > 0
 
 
+def _refused(items, tops, bottoms):
+    """The constructor refuses items, naming the array as it is written."""
+    text = "".join(map(str, items))
+    with pytest.raises(MalformedConfigurationError, match=f"^{re.escape(text)}$"):
+        Configuration(items, Flavor.STANDARD, tops, bottoms)
+
+
 class TestDirectConstructor:
     tops = explicit_set([2, 3, 5, 6])
     bottoms = explicit_set([1, 3])
@@ -105,29 +116,16 @@ class TestDirectConstructor:
             (5, "+", "-", "-", 2, 4, 6, "+", 1, 3),
             ("-", "-", 5, 2, 4, 6, "+", 1, 3),
         ]:
-            c = Configuration(items, Flavor.STANDARD, self.tops, self.bottoms)
-            assert c.items == items
-            assert c.minus_count == items.count("-")
-            with pytest.raises(MalformedConfigurationError):
-                involution(c)
+            _refused(items, self.tops, self.bottoms)
 
     def test_required_gap_without_plus(self):
         # (6, 1) is a matching descent pair with no '+' between
-        items = ("-", 5, "+", 2, 4, 6, 1, 3)
-        c = Configuration(items, Flavor.STANDARD, self.tops, self.bottoms)
-        with pytest.raises(MalformedConfigurationError):
-            involution(c)
+        _refused(("-", 5, "+", 2, 4, 6, 1, 3), self.tops, self.bottoms)
         # the same array with the '+' in place is legal
         legal = Configuration(
             ("-", 5, "+", 2, 4, 6, "+", 1, 3), Flavor.STANDARD, self.tops, self.bottoms
         )
         assert involution(legal).items == ("+", 5, "+", 2, 4, 6, "+", 1, 3)
-
-    def test_malformed_arrays_compare_by_items(self):
-        a = Configuration((1, "+", "-", 2), Flavor.STANDARD, self.tops, self.bottoms)
-        b = Configuration((1, "-", "+", "-", 2), Flavor.STANDARD, self.tops, self.bottoms)
-        assert a != b
-        assert a == Configuration(a.items, Flavor.STANDARD, self.tops, self.bottoms)
 
 
 class TestConstructionPaths:
@@ -228,16 +226,22 @@ class TestSharedLayouts:
             assert hash(back) == hash(c)
 
     @pytest.mark.parametrize(
-        "items",
-        [(5, "+", "-", 2, 4, 6, "+", 1, 3), ("-", 5, "+", 2, 4, 6, 1, 3)],
+        "items, layout",
+        [((5, "+", "-", 2, 4, 6, "+", 1, 3), None),
+         (("-", 5, "+", 2, 4, 6, 1, 3), (1, (0, 1, 0, 0, 0, 0, 0)))],
         ids=["stray-minus", "missing-plus"],
     )
-    def test_illegal_layout_raises_on_every_call_and_keeps_no_image(self, items):
-        c = Configuration(items, Flavor.STANDARD, self.tops, self.bottoms)
+    def test_illegal_layout_raises_on_every_call_and_keeps_no_image(self, items, layout):
+        """A stray '-' has no layout; a layout missing a '+' is interned by
+        the constructor's check, but is never given an image."""
+        seq = tuple(it for it in items if isinstance(it, int))
+        required = _required_mask(seq, Flavor.STANDARD, self.tops, self.bottoms)
         for _ in range(3):
-            with pytest.raises(MalformedConfigurationError):
-                involution(c)
-            assert c._layout.image is None
+            _refused(items, self.tops, self.bottoms)
+        if layout is not None:
+            hits = _layout.cache_info().hits
+            assert _layout(*layout, required).image is None
+            assert _layout.cache_info().hits == hits + 1
 
     def test_intern_table_is_bounded(self):
         assert _layout.cache_info().maxsize is not None

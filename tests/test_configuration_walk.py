@@ -1,10 +1,10 @@
 """Configurations walked one sequence at a time, and the letters a
 configuration may hold.
 
-`sweep_configs` checks the involution while it walks each class and checks
-the class's count after.  Its counts, its failure record, and the
-`configs --trace` records are pinned to what they were when the sweep
-still held each class as one list.
+`sweep_configs` checks the involution on each sign layout while it walks
+each class and checks the class's count after.  Its counts, its failure
+record, and the `configs --trace` records are pinned to what they were when
+the sweep still held each class as one list of configurations.
 """
 
 import hashlib
@@ -21,12 +21,11 @@ from descentpoly.configurations import (
     Configuration,
     Flavor,
     MalformedConfigurationError,
-    _configs_by_sequence,
-    _legal,
+    _layouts_by_sequence,
+    _required_mask,
     config_from_str,
     config_to_str,
     enumerate_configs,
-    involution,
 )
 from descentpoly.perms import InputError
 from descentpoly.sets import ALL, EMPTY, explicit_set
@@ -69,11 +68,25 @@ def _adjacent_letters(items) -> bool:
     return any(isinstance(a, int) and isinstance(b, int) for a, b in zip(items, items[1:]))
 
 
+def _illegal(items, flavor, tops, bottoms) -> bool:
+    """A '-' after a sign, or a gap the flavor asks a '+' of without one."""
+    stray = any(b == "-" and a in ("+", "-") for a, b in zip(items, items[1:]))
+    seq = [it for it in items if isinstance(it, int)]
+    required = _required_mask(tuple(seq), flavor, tops, bottoms)
+    gaps = [[]]
+    for it in items:
+        if isinstance(it, int):
+            gaps.append([])
+        else:
+            gaps[-1].append(it)
+    return stray or any(required >> g & 1 and "+" not in gap for g, gap in enumerate(gaps))
+
+
 def test_seeded_configurations_round_trip_or_raise():
     """Letters up to 12: the string reads back as the same configuration,
     or config_to_str raises, exactly when a letter is above 9 and no two
-    letters are adjacent.  An illegal configuration still fails the
-    involution, whatever its letters."""
+    letters are adjacent.  An illegal array is refused by the constructor,
+    whatever its letters."""
     rng = random.Random(25)
     gaps = ((), (), ("+",), ("-",), ("-", "+"), ("+", "+"), ("+", "-"))
     seen = {"raised": 0, "wide_round_trip": 0, "illegal": 0}
@@ -86,17 +99,18 @@ def test_seeded_configurations_round_trip_or_raise():
         flavor = rng.choice(list(Flavor))
         tops = explicit_set(rng.sample(range(1, 13), 4))
         bottoms = explicit_set(rng.sample(range(1, 13), 4))
-        c = Configuration(items, flavor, tops, bottoms)
-        wide = max(c.sequence) > 9
-        if not _legal(c):
+        if _illegal(items, flavor, tops, bottoms):
             seen["illegal"] += 1
             with pytest.raises(MalformedConfigurationError):
-                involution(c)
+                Configuration(items, flavor, tops, bottoms)
+            continue
+        c = Configuration(items, flavor, tops, bottoms)
+        wide = max(c.sequence) > 9
         if wide and not _adjacent_letters(items):
             seen["raised"] += 1
             with pytest.raises(InputError, match="no string reads back"):
                 config_to_str(c)
-        elif _legal(c):
+        else:
             back = config_from_str(config_to_str(c), flavor, tops, bottoms)
             assert back == c and back.items == tuple(items)
             seen["wide_round_trip"] += wide
@@ -110,13 +124,14 @@ def test_walk_yields_each_sequence_once_in_order():
             for r in range(-1, 6):
                 for n, rho in [(4, None), (None, (2, 1, 2))]:
                     args = (flavor, s, r, tops, bottoms)
-                    walk = list(_configs_by_sequence(*args, n, rho))
-                    seqs = [configs[0].sequence for configs in walk if configs]
+                    walk = list(_layouts_by_sequence(*args, n, rho))
+                    seqs = [seq for seq, _ in walk]
                     assert seqs == sorted(set(seqs))
-                    for configs in walk:
-                        assert len({c.sequence for c in configs}) <= 1
-                    flat = [c for configs in walk for c in configs]
-                    assert flat == enumerate_configs(*args, n=n, rho=rho)
+                    flat = [(seq, layout.minus_mask, layout.plus_by_gap)
+                            for seq, layouts in walk for layout in layouts]
+                    configs = enumerate_configs(*args, n=n, rho=rho)
+                    assert flat == [(c.sequence, c.minus_mask, c.plus_by_gap)
+                                    for c in configs]
 
 
 # sweep_configs(max_n, pairs, seed) as returned while each class was one list
@@ -128,16 +143,38 @@ def test_sweep_counts_unchanged(args):
     assert sweep_configs(*args) == SWEEP_COUNTS[args]
 
 
+def test_sweep_builds_no_configuration_while_it_passes(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sweep built a configuration")
+
+    monkeypatch.setattr(configurations, "_layout_config", refuse)
+    monkeypatch.setattr(Configuration, "__init__", refuse)
+    assert sweep_configs(4, pairs=6, seed=2) == SWEEP_COUNTS[(4, 6, 2)]
+
+
+def test_illegal_enumerated_layout_is_a_verification_failure(monkeypatch):
+    # an enumeration that forgets the required gaps lists illegal layouts
+    honest = configurations._sign_layouts
+    monkeypatch.setattr(configurations, "_sign_layouts",
+                        lambda gaps, plus, minus, required: honest(gaps, plus, minus, 0))
+    with pytest.raises(VerificationError) as err:
+        sweep_configs(3, pairs=20, seed=3)
+    assert str(err.value) == "enumerated configuration is illegal"
+    assert err.value.payload == {"configuration": "-123"}
+
+
 def test_broken_involution_reports_the_same_failure(monkeypatch):
-    honest = configurations.involution
+    honest = configurations._image
 
-    def one_way(config):
-        # '-'-signed configurations of four letters or more with at least
-        # two '+'s stay put, so the first one found is not mapped back
-        stuck = len(config.sequence) >= 4 and config.sign == -1 and config.plus_count >= 2
-        return config if stuck else honest(config)
+    def one_way(layout):
+        # '-'-signed layouts of five gaps or more (four letters or more)
+        # with at least two '+'s stay put, so the first one found is not
+        # mapped back
+        stuck = (len(layout.plus_by_gap) >= 5 and layout.minus_count % 2
+                 and sum(layout.plus_by_gap) >= 2)
+        return layout if stuck else honest(layout)
 
-    monkeypatch.setattr(configurations, "involution", one_way)
+    monkeypatch.setattr(configurations, "_image", one_way)
     with pytest.raises(VerificationError) as err:
         sweep_configs(5, pairs=4, seed=1)
     assert str(err.value) == "involution is not self-inverse"

@@ -1,14 +1,15 @@
 """The flip on sign layouts against the loops it replaced, and the memos
 around it.
 
-`_flip(minus_mask, plus_by_gap, required_mask)` decides legality and the
-involution's image from the layout alone.  The oracle below is the
-legality loop and the involution loop as they read before the layout
-encoding, run on the bare layout.  `_flip` keeps no table of its own: the
+`_flip(minus_mask, plus_by_gap, required_mask)` decides legality (the
+`Configuration` constructor asks it) and the involution's image from the
+layout alone.  The oracle below is the legality loop and the involution
+loop as they read before the layout encoding, run on the bare layout.  `_flip` keeps no table of its own: the
 interned layout keeps its image, and each memo left in `configurations`
 must see hits on a small sweep.
 """
 
+import re
 from collections import Counter
 from itertools import product
 
@@ -21,7 +22,6 @@ from descentpoly.configurations import (
     MalformedConfigurationError,
     _flip,
     _layout,
-    _legal,
     _required_mask,
     config_from_str,
     enumerate_configs,
@@ -87,21 +87,18 @@ def test_illegal_configuration_raises_after_legal_neighbours_fill_the_memo():
         return Configuration(items, Flavor.STANDARD, TOPS, BOTTOMS)
 
     legal = config("-", 5, "+", 2, 4, 6, "+", 1, 3)
-    # the same letters without the '+' that the matching descent (6, 1) needs
-    missing_plus = config("-", 5, "+", 2, 4, 6, 1, 3)
-    # a '-' after a '+' has no layout, whatever its '+'s are
-    stray_minus = config(5, "+", "-", 2, 4, 6, "+", 1, 3)
     for c in enumerate_configs(Flavor.STANDARD, 2, 2, TOPS, BOTTOMS, rho=(1,) * 6):
         involution(involution(c))
     involution(legal)
-    assert stray_minus.plus_by_gap == legal.plus_by_gap
     assert _flip(0, legal.plus_by_gap, legal.required_mask) is not None
-    for c in (missing_plus, stray_minus):
-        assert not _legal(c)
-        with pytest.raises(MalformedConfigurationError):
-            involution(c)
-        with pytest.raises(MalformedConfigurationError):
-            config_from_str(str(c), Flavor.STANDARD, TOPS, BOTTOMS)
+    # the same letters without the '+' that the matching descent (6, 1)
+    # needs, and a '-' after a '+', which has no layout
+    for items in [("-", 5, "+", 2, 4, 6, 1, 3), (5, "+", "-", 2, 4, 6, "+", 1, 3)]:
+        text = "".join(map(str, items))
+        with pytest.raises(MalformedConfigurationError, match=f"^{re.escape(text)}$"):
+            config(*items)
+        with pytest.raises(MalformedConfigurationError, match=f"^{re.escape(text)}$"):
+            config_from_str(text, Flavor.STANDARD, TOPS, BOTTOMS)
 
 
 def test_legal_is_flip_not_none():
@@ -111,14 +108,17 @@ def test_legal_is_flip_not_none():
             for r in range(5):
                 for c in enumerate_configs(flavor, s, r, TOPS, BOTTOMS, n=3):
                     # the same letters and '-'s with every '+' taken out
-                    bare = Configuration(
-                        [it for it in c.items if it != "+"], flavor, TOPS, BOTTOMS
-                    )
-                    for d in (c, bare):
-                        flipped = _flip(d.minus_mask, d.plus_by_gap, d.required_mask)
-                        assert _legal(d) == (flipped is not None)
-                        legal += _legal(d)
-                        illegal += not _legal(d)
+                    bare = [it for it in c.items if it != "+"]
+                    no_plus = (0,) * len(c.plus_by_gap)
+                    assert _flip(c.minus_mask, c.plus_by_gap, c.required_mask) is not None
+                    legal += 1
+                    if _flip(c.minus_mask, no_plus, c.required_mask) is None:
+                        illegal += 1
+                        with pytest.raises(MalformedConfigurationError):
+                            Configuration(bare, flavor, TOPS, BOTTOMS)
+                    else:
+                        legal += 1
+                        assert Configuration(bare, flavor, TOPS, BOTTOMS).plus_count == 0
     assert legal > 0 and illegal > 0
 
 

@@ -15,7 +15,6 @@ from descentpoly import (
 )
 from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
 from descentpoly.closed_forms import ClosedForm
-from descentpoly.configurations import Configuration
 from descentpoly.polynomials import IntPolynomial
 from descentpoly.sets import ALL, residue_set
 from descentpoly.stats import CapExceededError, DescentQuery
@@ -192,9 +191,12 @@ def _drop_last_cell(real):
     return board
 
 
-def _reversed(config):
-    # an involution that keeps every sign: 1234 maps to 4321
-    return Configuration(config.items[::-1], config.flavor, config.tops, config.bottoms)
+def _mirrored(layout):
+    """A map on layouts that keeps every sign: gap g goes to gap G - 1 - g of
+    the G gaps, which is its own inverse."""
+    gaps = len(layout.plus_by_gap)
+    minus = sum(1 << (gaps - 1 - g) for g in range(gaps) if layout.minus_mask >> g & 1)
+    return configurations._layout(minus, layout.plus_by_gap[::-1], layout.required_mask)
 
 
 BRIDGE_RECORD = [("omega", [2, 1, 3]), ("tops", "{2}"), ("bottoms", "{1}"),
@@ -212,13 +214,13 @@ SETS = [("tops", "{2,3}"), ("bottoms", "{1,3,4}")]
         (stats, "brute_poly", _plus_one_poly(stats.brute_poly),
          verify.sweep_configs, "signed configuration sum does not telescope",
          CONFIG_CASE + SETS + [("signed_total", 12), ("expected", 13)]),
-        (configurations, "involution", lambda config: config,
+        (configurations, "_image", lambda layout: layout,
          verify.sweep_configs, "fixed points do not match the descent count",
          [("flavor", "standard"), ("n", 4), ("s", 1)] + SETS
          + [("fixed_points", 132), ("brute", 12)]),
-        (configurations, "involution", _reversed,
+        (configurations, "_image", _mirrored,
          verify.sweep_configs, "involution does not reverse sign",
-         [("configuration", "1234"), ("image", "4321")]),
+         [("configuration", "-1234"), ("image", "1234-")]),
         (rook, "hits_with_route", _plus_one_with_route(rook.hits_with_route),
          verify.sweep_rook, "hit polynomial disagrees with brute force",
          [("n", 4)] + SETS + [("hits", [13, 12]), ("brute", [12, 12])]),
