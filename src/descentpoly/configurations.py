@@ -18,12 +18,14 @@ correspond to sequences with the prescribed number of descents.
 Both rules act gap by gap: gap g (0..len(sequence)) holds the signs between
 letter g and letter g + 1.  Since a '-' may only open its gap, a legal array
 is its sequence plus a sign layout: the gaps that open with a '-' and the
-number of '+'s in each gap.  Configurations are stored that way, their
-item tuples are built when read, and the constructor refuses an illegal
-array, so every configuration is legal.  Configurations with the same
-layout and required gaps share one layout object, which keeps the
-involution's image of that layout once it is computed; a sweep can check
-the involution on layouts alone.
+number of '+'s in each gap.  A configuration is stored as two references: a
+frame, the tuple (sequence, flavor, tops, bottoms) that every configuration
+of one sequence shares, and a layout object, which configurations with the
+same layout and required gaps share.  Item tuples are built when read, and
+the constructor refuses an illegal array, so every configuration is legal.
+The layout keeps the involution's image of that layout once it is computed,
+and an image shares its source's frame; a sweep can check the involution on
+layouts alone.
 """
 
 from __future__ import annotations
@@ -93,25 +95,29 @@ def _layout(minus_mask: int, plus_by_gap: tuple, required_mask: int) -> _Layout:
 
 
 class Configuration:
-    """An array of letters and signs, held as its sequence and sign layout.
+    """An array of letters and signs, held as a frame and a sign layout.
 
     `Configuration(items, flavor, tops, bottoms)` parses an item tuple (ints
-    and the strings '+' / '-').  Bit g of `minus_mask` is set when gap g opens
-    with a '-', `plus_by_gap[g]` counts the '+'s in gap g, and bit g of
-    `required_mask` is set when the flavor's rules ask gap g for a '+'; all
-    three are read off the layout, which configurations with the same signs
-    in the same gaps share.  An illegal array, with a '-' that does not open
-    its gap or a required gap without a '+', raises
-    MalformedConfigurationError naming the array.  Letters must be positive
-    integers (InputError otherwise); whether they belong to the class, 1..n
-    for S_n, is the caller's check, as in the CLI's `configs --trace`.
+    and the strings '+' / '-').  The frame is the tuple (sequence, flavor,
+    tops, bottoms), read through the four properties of those names; every
+    configuration that `enumerate_configs` builds for one sequence, and each
+    image `involution` builds from it, shares one frame object.  Bit g of
+    `minus_mask` is set when gap g opens with a '-', `plus_by_gap[g]` counts
+    the '+'s in gap g, and bit g of `required_mask` is set when the flavor's
+    rules ask gap g for a '+'; all three are read off the layout, which
+    configurations with the same signs in the same gaps share.  An illegal
+    array, with a '-' that does not open its gap or a required gap without
+    a '+', raises MalformedConfigurationError naming the array, and leaves
+    nothing in the layout table.  Letters must be positive integers
+    (InputError otherwise); whether they belong to the class, 1..n for S_n,
+    is the caller's check, as in the CLI's `configs --trace`.
 
-    Equality and hashing follow the encoding, whether or not two layouts are
-    the same object.  Treat instances as frozen: after construction only the
-    shared layout's `image` is written, once.
+    Equality and hashing follow the values, whether or not two frames or two
+    layouts are the same object.  Treat instances as frozen: after
+    construction only the shared layout's `image` is written, once.
     """
 
-    __slots__ = ("sequence", "_layout", "flavor", "tops", "bottoms")
+    __slots__ = ("_frame", "_layout")
 
     def __init__(self, items, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet):
         items = tuple(items)
@@ -137,15 +143,29 @@ class Configuration:
                 minus_mask = None
             opens_gap = False
         if minus_mask is not None:
+            # checked on the counts, so a refused array interns no layout
             required = _required_mask(seq, flavor, tops, bottoms)
-            layout = _layout(minus_mask, tuple(plus), required)
-        if minus_mask is None or _image(layout) is None:
+            unmet = any(not count and required >> g & 1 for g, count in enumerate(plus))
+        if minus_mask is None or unmet:
             raise MalformedConfigurationError(_written(items))
-        self.sequence = seq
-        self._layout = layout
-        self.flavor = flavor
-        self.tops = tops
-        self.bottoms = bottoms
+        self._frame = (seq, flavor, tops, bottoms)
+        self._layout = _layout(minus_mask, tuple(plus), required)
+
+    @property
+    def sequence(self) -> tuple:
+        return self._frame[0]
+
+    @property
+    def flavor(self) -> Flavor:
+        return self._frame[1]
+
+    @property
+    def tops(self) -> IntegerSet:
+        return self._frame[2]
+
+    @property
+    def bottoms(self) -> IntegerSet:
+        return self._frame[3]
 
     @property
     def minus_mask(self) -> int:
@@ -162,7 +182,7 @@ class Configuration:
     @property
     def items(self) -> tuple:
         layout = self._layout
-        return _assemble(self.sequence, layout.minus_mask, layout.plus_by_gap)
+        return _assemble(self._frame[0], layout.minus_mask, layout.plus_by_gap)
 
     @property
     def plus_count(self) -> int:
@@ -179,27 +199,12 @@ class Configuration:
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
-        a, b = self._layout, other._layout
-        return (
-            _same(a, b)
-            and self.sequence == other.sequence
-            and self.flavor is other.flavor
-            and (self.tops is other.tops or self.tops == other.tops)
-            and (self.bottoms is other.bottoms or self.bottoms == other.bottoms)
-        )
+        a, b = self._frame, other._frame
+        return _same(self._layout, other._layout) and (a is b or a == b)
 
     def __hash__(self) -> int:
         layout = self._layout
-        return hash(
-            (
-                self.sequence,
-                layout.minus_mask,
-                layout.plus_by_gap,
-                self.flavor,
-                self.tops,
-                self.bottoms,
-            )
-        )
+        return hash((self._frame, layout.minus_mask, layout.plus_by_gap))
 
     def __repr__(self) -> str:
         return (
@@ -214,11 +219,8 @@ class Configuration:
 def _layout_config(seq, layout, flavor, tops, bottoms):
     """A configuration straight from a legal sign layout, skipping the parse."""
     config = _new(Configuration)
-    config.sequence = seq
+    config._frame = (seq, flavor, tops, bottoms)
     config._layout = layout
-    config.flavor = flavor
-    config.tops = tops
-    config.bottoms = bottoms
     return config
 
 
@@ -273,14 +275,18 @@ def involution(config: Configuration) -> Configuration:
     required-plus gap or holds another '+'.  On the layout, the first
     flippable sign leads the first gap that opens with a '-', holds two
     '+'s, or holds an unrequired '+'; `_image` finds it once per layout.
-    A configuration is legal, so its layout always has an image.
+    A configuration is legal, so its layout always has an image.  The
+    image is a new configuration on the source's frame; nothing points it
+    back to its source.
     """
-    image = _image(config._layout)
-    if image is config._layout:
+    layout = config._layout
+    image = layout.image or _image(layout)
+    if image is layout:
         return config
-    return _layout_config(
-        config.sequence, image, config.flavor, config.tops, config.bottoms
-    )
+    mapped = _new(Configuration)
+    mapped._frame = config._frame
+    mapped._layout = image
+    return mapped
 
 
 def _sign_layouts(n_gaps: int, n_plus: int, n_minus: int, required_mask: int):
@@ -366,9 +372,16 @@ def enumerate_configs(
     or must hold a '+'.  Sequences with the same required-plus gaps share
     one list of sign layouts.
     """
-    walk = _layouts_by_sequence(flavor, s, r, tops, bottoms, n, rho)
-    return [_layout_config(seq, layout, flavor, tops, bottoms)
-            for seq, layouts in walk for layout in layouts]
+    configs = []
+    append = configs.append
+    for seq, layouts in _layouts_by_sequence(flavor, s, r, tops, bottoms, n, rho):
+        frame = (seq, flavor, tops, bottoms)
+        for layout in layouts:
+            config = _new(Configuration)
+            config._frame = frame
+            config._layout = layout
+            append(config)
+    return configs
 
 
 def _layouts_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):

@@ -30,6 +30,7 @@ from descentpoly.configurations import (
     config_from_str,
     config_to_str,
     enumerate_configs,
+    fixed_point_from_seq,
     involution,
 )
 from descentpoly.sets import ALL, explicit_set, residue_set
@@ -152,6 +153,91 @@ class TestConstructionPaths:
             assert Configuration(c.items, c.flavor, tops, bottoms) == c
 
 
+class TestFrames:
+    """A configuration is a shared frame (sequence, flavor, tops, bottoms)
+    and a shared layout; these pin the sharing and that equality and
+    hashing still follow the values."""
+
+    tops = explicit_set([2, 3, 4])
+    bottoms = explicit_set([1, 2])
+
+    def test_two_slots(self):
+        assert Configuration.__slots__ == ("_frame", "_layout")
+        c = enumerate_configs(Flavor.STANDARD, 2, 2, self.tops, self.bottoms, n=3)[0]
+        assert not hasattr(c, "__dict__")
+
+    @pytest.mark.parametrize("flavor", list(Flavor))
+    @pytest.mark.parametrize("n, rho", [(4, None), (None, (2, 1, 2))])
+    def test_one_frame_per_sequence_and_images_share_it(self, flavor, n, rho):
+        s, r = (2, 1) if flavor is Flavor.STANDARD else (1, 1)  # one '-' each
+        configs = enumerate_configs(flavor, s, r, self.tops, self.bottoms, n=n, rho=rho)
+        frames = {}
+        for c in configs:
+            frame = frames.setdefault(c.sequence, c._frame)
+            assert c._frame is frame
+            assert frame == (c.sequence, flavor, self.tops, self.bottoms)
+        assert len({id(frame) for frame in frames.values()}) == len(frames) > 1
+        moved = 0
+        for c in configs:
+            image = involution(c)
+            if image is not c:
+                moved += 1
+                assert image._frame is c._frame
+                assert involution(image)._frame is c._frame
+        assert moved > 0
+
+    def test_the_frame_separates_equal_layouts(self):
+        # a '+' in every gap meets every flavor's required gaps
+        items = ("+", 3, "+", 1, "+", 4, "+", 2, "+")
+        c = Configuration(items, Flavor.STANDARD, self.tops, self.bottoms)
+        others = [
+            Configuration(items, Flavor.OVERLINE, self.tops, self.bottoms),
+            Configuration(items, Flavor.STANDARD, explicit_set([3, 4]), self.bottoms),
+            Configuration(items, Flavor.STANDARD, self.tops, explicit_set([1])),
+        ]
+        for other in others:
+            assert other._layout is c._layout or other.required_mask != c.required_mask
+            assert other.items == c.items
+            assert other != c and c != other
+        twin = Configuration(
+            items, Flavor.STANDARD, explicit_set([2, 3, 4]), explicit_set([1, 2])
+        )
+        assert twin.tops is not c.tops and twin.bottoms is not c.bottoms
+        assert twin._frame is not c._frame
+        assert twin == c and c == twin
+        assert hash(twin) == hash(c)
+
+    @pytest.mark.parametrize("flavor, items, canonical", [
+        (Flavor.STANDARD, (3, "+", 1, 4, "+", 2), True),
+        (Flavor.OVERLINE, (3, 1, 4, 2, "+"), True),
+        (Flavor.STANDARD, ("-", 3, "+", "+", 1, 4, "+", 2, "+"), False),
+        (Flavor.OVERLINE, ("-", 3, 1, 4, 2, "+", "+"), False),
+    ])
+    def test_every_route_gives_one_configuration(self, flavor, items, canonical):
+        tops, bottoms = self.tops, self.bottoms
+        built = Configuration(items, flavor, tops, bottoms)
+        listed = [c for c in _all_configs(tops, bottoms, n=4)
+                  if c.flavor is flavor and c.items == items]
+        assert len(listed) == 1
+        routes = [
+            built,
+            config_from_str(str(built), flavor, tops, bottoms),
+            listed[0],
+            involution(involution(Configuration(items, flavor, tops, bottoms))),
+        ]
+        seq = tuple(it for it in items if isinstance(it, int))
+        fixed = fixed_point_from_seq(seq, flavor, tops, bottoms)
+        assert (fixed.items == items) is canonical
+        assert (involution(built) is built) is canonical
+        if canonical:
+            routes.append(fixed)
+        for route in routes:
+            assert route.items == items
+            assert route == built and built == route
+            assert hash(route) == hash(built)
+        assert len(set(routes)) == 1
+
+
 @pytest.mark.parametrize(
     "n_gaps, n_plus, required_mask",
     [(1, 0, 0), (1, 3, 1), (2, 0, 0), (4, 5, 0b1010), (5, 2, 0b111), (3, 1, 0b111)],
@@ -226,22 +312,18 @@ class TestSharedLayouts:
             assert hash(back) == hash(c)
 
     @pytest.mark.parametrize(
-        "items, layout",
-        [((5, "+", "-", 2, 4, 6, "+", 1, 3), None),
-         (("-", 5, "+", 2, 4, 6, 1, 3), (1, (0, 1, 0, 0, 0, 0, 0)))],
+        "items",
+        [(5, "+", "-", 2, 4, 6, "+", 1, 3), ("-", 5, "+", 2, 4, 6, 1, 3)],
         ids=["stray-minus", "missing-plus"],
     )
-    def test_illegal_layout_raises_on_every_call_and_keeps_no_image(self, items, layout):
-        """A stray '-' has no layout; a layout missing a '+' is interned by
-        the constructor's check, but is never given an image."""
-        seq = tuple(it for it in items if isinstance(it, int))
-        required = _required_mask(seq, Flavor.STANDARD, self.tops, self.bottoms)
+    def test_illegal_layout_raises_on_every_call_and_keeps_no_image(self, items):
+        """A refused array is checked before its layout is interned, so the
+        refusals leave the bounded table as it was."""
+        before = _layout.cache_info()
         for _ in range(3):
             _refused(items, self.tops, self.bottoms)
-        if layout is not None:
-            hits = _layout.cache_info().hits
-            assert _layout(*layout, required).image is None
-            assert _layout.cache_info().hits == hits + 1
+        # not even a lookup: no entry added, none evicted
+        assert _layout.cache_info() == before
 
     def test_intern_table_is_bounded(self):
         assert _layout.cache_info().maxsize is not None
