@@ -20,12 +20,12 @@ X = all, Y = kℕ (bottoms), and the Eulerian sum is them at X = Y = all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial, prod
 from operator import sub
+from typing import NamedTuple
 
 from .perms import InputError, check_size
-from .polynomials import IntPolynomial, binom, multinomial
+from .polynomials import IntPolynomial, binom
 from .sets import ALL, IntegerSet, residue_set
 
 __all__ = [
@@ -47,8 +47,7 @@ def _signed_binom(n: int, k: int) -> int:
     return (-1) ** k * binom(n + 1, k)
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     """P · (1 − x)^(N+1) · Σ_r w_r x^r with w_r = C(c + r, r) · Π_x f_x(r).
 
     c is the mass of the N letters outside the tops set and P the
@@ -57,6 +56,10 @@ class ClosedForm:
     S_n is the word class ρ = 1ⁿ, whose factors are r + o_x.  The
     alpha/beta form reads x^s; the beta/beta form (``second``) reads
     x^(L−s), L = Σ ρ_x.
+
+    A form is a tuple (c, prefactor, offsets, second), so building,
+    comparing and hashing one is tuple work; it also equals a plain tuple
+    of the same four fields.
     """
 
     c: int
@@ -68,21 +71,25 @@ class ClosedForm:
     def from_sets(cls, masses, tops, bottoms, second) -> "ClosedForm":
         """Letters 1..m of multiplicities ``masses``, in one pass of prefix
         counts: β_X(x), β_Y(x) are the non-top and non-bottom mass below x,
-        and α_X(x) = c − β_X(x) is the non-top mass above a top x."""
-        non_tops, rows = [], []
+        and α_X(x) = c − β_X(x) is the non-top mass above a top x.  The
+        prefactor is the multinomial of the non-top masses, built in the same
+        pass as Π C(β_X(x) + ρ_x, ρ_x) over the non-tops x."""
+        is_top, is_bottom = tops.__contains__, bottoms.__contains__
+        rows = []
         below_x = below_y = 0
+        prefactor = 1
         for x, mass in enumerate(masses, 1):
-            if x in tops:
+            if is_top(x):
                 rows.append((mass, below_x, below_y))
             else:
-                non_tops.append(mass)
                 below_x += mass
-            if x not in bottoms:
+                prefactor *= comb(below_x, mass)
+            if not is_bottom(x):
                 below_y += mass
         # f_x(r) = r + β_X(x) − β_Y(x) if second, else ρ_x + r + α_X(x) + β_Y(x)
         c = below_x
         offsets = [(p, bx - by if second else p + c - bx + by) for p, bx, by in rows]
-        return cls(c, multinomial(non_tops), tuple(offsets), second)
+        return cls(c, prefactor, tuple(offsets), second)
 
     @property
     def top_mass(self) -> int:

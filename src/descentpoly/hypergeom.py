@@ -4,11 +4,11 @@ Every series handled here has all-negative-integer parameters and unit
 argument, so it terminates: some numerator Pochhammer hits zero.  The
 evaluation sums in integers, one numerator over one denominator, and the
 private helpers pass that (numerator, denominator) pair on unreduced, so
-the sweeps in ``verify`` compare sides by cross-multiplication; the public
-functions turn each pair into a single reduced Fraction.  The interesting
-content is the validation (no denominator Pochhammer may vanish first) and
-the identities the rest of the package checks against descent-polynomial
-counts.
+the sweeps in ``verify`` compare sides by cross-multiplication; the Pfaff
+right side is such a pair too.  The public functions turn each pair into a
+single reduced Fraction.  The interesting content is the validation (no
+denominator Pochhammer may vanish first) and the identities the rest of the
+package checks against descent-polynomial counts.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .closed_forms import formula_alpha_beta, formula_beta_beta
 from .perms import InputError
@@ -39,9 +40,10 @@ class IllPosedSeriesError(ValueError):
     """A denominator Pochhammer would vanish at or before termination."""
 
 
-@dataclass(frozen=True)
-class HypergeometricSpec:
-    """Parameters of an (m+1)F_m series at argument 1."""
+class HypergeometricSpec(NamedTuple):
+    """Parameters of an (m+1)F_m series at argument 1: the tuple
+    (numerator, denominator), so building, comparing and hashing one is
+    tuple work."""
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
@@ -217,11 +219,17 @@ def pfaff_saalschutz_lhs(n: int, a: int, b: int, c: int) -> Fraction:
     return Fraction(*_pfaff_lhs_pair(n, a, b, c))
 
 
-def pfaff_saalschutz_rhs(n: int, a: int, b: int, c: int) -> Fraction:
+def _pfaff_rhs_pair(n: int, a: int, b: int, c: int) -> tuple[int, int]:
+    """The Pfaff-Saalschutz value (c - a)_n (c - b)_n / ((c)_n (c - a - b)_n)
+    as an unreduced integer pair."""
     den = poch(c, n) * poch(c - a - b, n)
     if den == 0:
         raise IllPosedSeriesError("vanishing denominator Pochhammer")
-    return Fraction(poch(c - a, n) * poch(c - b, n), den)
+    return poch(c - a, n) * poch(c - b, n), den
+
+
+def pfaff_saalschutz_rhs(n: int, a: int, b: int, c: int) -> Fraction:
+    return Fraction(*_pfaff_rhs_pair(n, a, b, c))
 
 
 def verify_cor35(k: int, m: int, s: int) -> tuple[Fraction, Fraction, int]:

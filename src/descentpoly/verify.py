@@ -14,10 +14,13 @@ cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
 The Foata sweep keeps S_n and its cycle rewritings as int8 rows, at most
 FOATA_CHUNK at a time, and reads the bridge's excedence and descent counts
 from per-query tables.
-The hypergeometric sweeps take each series side as the unreduced integer
-pair (numerator, denominator) of ``hypergeom`` and compare by
-cross-multiplication, building a Fraction only for a failure record; the
-balanced sweep builds each profile's τ-word and closed form once, for all s.
+The closed-form sweeps build two ``ClosedForm`` tuples per (X, Y) pair and
+key each class's coefficient lists by them.
+The Pfaff and balanced sweeps take each side, a series or the Pfaff product
+of Pochhammers, as the unreduced integer pair (numerator, denominator) of
+``hypergeom`` and compare by cross-multiplication, building a Fraction only
+for a failure record; the balanced sweep builds each profile's τ-word,
+closed form and polynomial once, for all s.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from math import factorial
 import numpy as np
 
 from . import closed_forms, configurations, hypergeom, rook, stats, words
-from .perms import VerificationError
+from .perms import InputError, VerificationError, check_size
 from .sets import ALL, explicit_set
 from .stats import DescentQuery
 
@@ -375,15 +378,16 @@ def sweep_pfaff(max_param: int = 5) -> int:
             for n in range(max_param + 1):
                 for c in range(-2 * max_param, max_param + 1):
                     try:  # a case needs both sides; the cheap one goes first
-                        rhs = hypergeom.pfaff_saalschutz_rhs(n, a, b, c)
+                        rnum, rden = hypergeom._pfaff_rhs_pair(n, a, b, c)
                         num, den = hypergeom._pfaff_lhs_pair(n, a, b, c)
                     except hypergeom.IllPosedSeriesError:
                         continue
-                    if num * rhs.denominator != rhs.numerator * den:
+                    if num * rden != rnum * den:
                         raise VerificationError(
                             "summation formula fails",
                             {"n": n, "a": a, "b": b, "c": c,
-                             "lhs": str(Fraction(num, den)), "rhs": str(rhs)},
+                             "lhs": str(Fraction(num, den)),
+                             "rhs": str(Fraction(rnum, rden))},
                         )
                     checked += 1
     return checked
@@ -409,8 +413,9 @@ def sweep_cor35(max_km: int = 2) -> int:
 def sweep_balanced() -> int:
     """The balanced transformation on every (u, v) profile with k <= 2 and
     entries <= 3, at the profile's least n and every s.  Each profile builds
-    its τ-word and the alpha/beta form of its tops once; at each s both
-    sides, integer pairs (num, den), must satisfy num == count * den."""
+    its τ-word, the alpha/beta form of its tops and that form's polynomial
+    once; at each s both sides, integer pairs (num, den), must satisfy
+    num == count * den, count the polynomial's coefficient of x^s."""
     checked = 0
     for k in (1, 2):
         for u in combinations_with_replacement(range(4), k):
@@ -418,10 +423,10 @@ def sweep_balanced() -> int:
                 profile = hypergeom.UVProfile(u, v)
                 n = profile.min_n()
                 _, members = hypergeom.tau_sequence(profile, n)
-                form = closed_forms.permutation_form(n, members, ALL)
+                counts = closed_forms.permutation_form(n, members, ALL).polynomial()
                 for s in range(n + 1):
                     left, right = hypergeom._balanced_sides(profile, n, s)
-                    count = form.coefficient(s)
+                    count = counts.coeff(s)
                     if left[0] != count * left[1] or right[0] != count * right[1]:
                         raise VerificationError(
                             "balanced transformation fails",
@@ -449,6 +454,11 @@ SUITES = {
 
 
 def run_suite(name: str, max_n: int, seed: int = 0) -> dict:
+    """Cases checked per suite: ``name`` is a key of SUITES or "all".
+    InputError names an unknown suite or a negative ``max_n``."""
+    check_size(max_n)
     if name == "all":
         return {key: fn(max_n, seed) for key, fn in SUITES.items()}
+    if name not in SUITES:
+        raise InputError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}, all")
     return {name: SUITES[name](max_n, seed)}

@@ -109,11 +109,15 @@ class TestHypergeomSuites:
 
 @pytest.fixture
 def wrong_rhs(monkeypatch):
-    """The summation formula's right side, off by one."""
-    real = hypergeom.pfaff_saalschutz_rhs
-    monkeypatch.setattr(
-        hypergeom, "pfaff_saalschutz_rhs", lambda *args: real(*args) + Fraction(1)
-    )
+    """The summation formula's right side, off by one: the pair (num, den)
+    becomes (num + den, den)."""
+    real = hypergeom._pfaff_rhs_pair
+
+    def plus_one(*args):
+        num, den = real(*args)
+        return num + den, den
+
+    monkeypatch.setattr(hypergeom, "_pfaff_rhs_pair", plus_one)
 
 
 FAILING = [

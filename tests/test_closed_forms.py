@@ -1,10 +1,13 @@
 """Alternating-sum closed formulas against brute force and product forms."""
 
+import random
+from itertools import product
 from math import factorial
 
 import pytest
 
 from descentpoly.closed_forms import (
+    ClosedForm,
     formula_alpha_beta,
     formula_alpha_beta_terms,
     formula_beta_beta,
@@ -14,10 +17,10 @@ from descentpoly.closed_forms import (
     permutation_form,
     rectangle_product,
 )
-from descentpoly.hypergeom import verify_cor35
+from descentpoly.hypergeom import HypergeometricSpec, verify_cor35
 from descentpoly.perms import InputError
-from descentpoly.polynomials import binom
-from descentpoly.sets import ALL, EVENS, explicit_set
+from descentpoly.polynomials import binom, multinomial
+from descentpoly.sets import ALL, EVENS, at_least, explicit_set, residue_set
 from descentpoly.stats import DescentQuery, brute_poly, recursion_bivar
 
 X6 = explicit_set([2, 3, 4, 6, 7, 9])
@@ -156,3 +159,46 @@ def test_explicit_and_residue_evens_give_one_form(second):
     assert permutation_form(20000, explicit, ALL, second) == permutation_form(
         20000, EVENS, ALL, second
     )
+
+
+# explicit (empty and not), residue, geq: and all
+FORM_SETS = [explicit_set(()), explicit_set([1, 3, 4]), residue_set(3, (0, 2)),
+             at_least(3), ALL]
+
+
+def _seeded_compositions(seed=31, count=40):
+    """rho = () and seeded compositions of up to 7 parts in 0..3."""
+    rng = random.Random(seed)
+    yield ()
+    for _ in range(count):
+        yield tuple(rng.randint(0, 3) for _ in range(rng.randint(1, 7)))
+
+
+def test_prefactor_is_the_multinomial_of_the_non_top_masses():
+    zero_parts = 0
+    for rho in _seeded_compositions():
+        zero_parts += 0 in rho
+        non_tops = {}
+        for tops, bottoms, second in product(FORM_SETS, FORM_SETS, (False, True)):
+            form = ClosedForm.from_sets(rho, tops, bottoms, second)
+            masses = [p for x, p in enumerate(rho, 1) if x not in tops]
+            assert form.prefactor == multinomial(masses), (rho, str(tops))
+            non_tops[str(tops)] = masses
+        assert non_tops["{}"] == list(rho) and non_tops["all"] == []
+    assert zero_parts > 0
+
+
+VALUES = [
+    (permutation_form(6, X6, Y6), lambda form: form._replace(second=not form.second)),
+    (HypergeometricSpec((-3, 1), (2,)), lambda spec: spec._replace(denominator=(3,))),
+]
+
+
+@pytest.mark.parametrize("value, changed", VALUES, ids=["ClosedForm", "HypergeometricSpec"])
+def test_value_types_are_tuples_compared_by_fields(value, changed):
+    cls = type(value)
+    assert issubclass(cls, tuple) and not hasattr(value, "__dict__")
+    copy = cls(*value)
+    assert copy is not value and copy == value and hash(copy) == hash(value)
+    assert changed(value) != value
+    assert cls(**value._asdict()) == value

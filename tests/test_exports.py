@@ -25,6 +25,7 @@ TEST_ONLY = {
     "fixed_point_from_seq": "the paper's canonical fixed point of the involution",
     "eval_terminating": "the public Fraction face of the series sums the sweeps use",
     "pfaff_saalschutz_lhs": "the public Fraction face of the Pfaff sweep's left side",
+    "pfaff_saalschutz_rhs": "the public Fraction face of the Pfaff sweep's right side",
     "cycles": "perms.cycles, the reference for foata_inverse",
     "from_cycles": "the reference for foata_inverse",
     "hit_numbers_enumerate": "the walk over S_n that checks the frontier DP",

@@ -15,6 +15,7 @@ from descentpoly import (
 )
 from descentpoly.cli import EXIT_CAP, EXIT_VERIFY_FAILED, main
 from descentpoly.closed_forms import ClosedForm
+from descentpoly.perms import InputError
 from descentpoly.polynomials import IntPolynomial
 from descentpoly.sets import ALL, residue_set
 from descentpoly.stats import CapExceededError, DescentQuery
@@ -42,8 +43,18 @@ def test_verification_error_payload():
     err = VerificationError("boom", {"n": 3})
     assert isinstance(err, AssertionError)
     assert err.payload == {"n": 3}
-    with pytest.raises(KeyError):
-        run_suite("nonexistent", 3)
+
+
+@pytest.mark.parametrize(
+    "name, max_n, message",
+    [("bogus", 3, "unknown suite 'bogus'; choose from formulas, configs, words, "
+      "rook, foata, hypergeom, all")]
+    + [(name, -1, "n must be >= 0, got -1") for name in [*SUITES, "all"]],
+)
+def test_run_suite_rejects_bad_input(name, max_n, message):
+    with pytest.raises(InputError) as info:
+        run_suite(name, max_n)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(
@@ -351,8 +362,10 @@ def test_foata_sweep_holds_no_list_of_s_n():
           ("count", 1)]),
         ("_pfaff_lhs_pair", None, verify.sweep_pfaff, "summation formula fails",
          [("n", 0), ("a", -5), ("b", -5), ("c", -10), ("lhs", "2"), ("rhs", "1")]),
+        ("_pfaff_rhs_pair", None, verify.sweep_pfaff, "summation formula fails",
+         [("n", 0), ("a", -5), ("b", -5), ("c", -10), ("lhs", "1"), ("rhs", "2")]),
     ],
-    ids=["cor35", "balanced", "pfaff_lhs"],
+    ids=["cor35", "balanced", "pfaff_lhs", "pfaff_rhs"],
 )
 def test_hypergeom_sweep_failure_record(monkeypatch, name, side, sweep, message, items):
     real = getattr(hypergeom, name)
@@ -392,5 +405,19 @@ def test_balanced_sweep_builds_one_tau_word_and_form_per_profile(monkeypatch):
 
     counted(hypergeom, "tau_sequence")
     counted(closed_forms, "permutation_form")
+    counted(ClosedForm, "polynomial")
     assert verify.sweep_balanced() == 844
-    assert calls == {"tau_sequence": 102, "permutation_form": 102}
+    assert calls == {"tau_sequence": 102, "permutation_form": 102, "polynomial": 102}
+
+
+def test_balanced_sweep_reports_a_skewed_count(monkeypatch):
+    """The count side of the balanced sweep is the form's polynomial: one
+    added to its constant term fails the first profile at s = 0."""
+    monkeypatch.setattr(ClosedForm, "polynomial", _plus_one_poly(ClosedForm.polynomial))
+    with pytest.raises(VerificationError) as info:
+        verify.sweep_balanced()
+    assert str(info.value) == "balanced transformation fails"
+    assert list(info.value.payload.items()) == [
+        ("u", [0]), ("v", [1]), ("n", 2), ("s", 0), ("left", "1"), ("right", "1"),
+        ("count", 2),
+    ]
