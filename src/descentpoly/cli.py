@@ -7,9 +7,9 @@ JSON parser.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
 input, 3 cap exceeded.  Any other exception is an internal error and is
-not caught.  Only `verify`, `hypergeom` and the brute force of `poly` and
-`xyz` load numpy; `verify` is imported inside the two commands that run
-its sweeps.
+not caught.  Only `verify`, `hypergeom` and the brute force of `poly`,
+`xyz` and `word-poly` load numpy; `verify` is imported inside the two
+commands that run its sweeps.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from math import factorial
 from typing import NamedTuple
 
 from . import configurations, rook, stats, words
-from .perms import InputError, VerificationError, check_permutation, check_size
+from .perms import InputError, VerificationError, check_permutation
 from .perms import format_permutation, parse_int, parse_permutation
 from .polynomials import IntPolynomial
 from .sets import ALL, parse_set
@@ -212,11 +212,14 @@ def cmd_verify(args, inputs: dict) -> dict:
 
 def _size(text: str) -> int:
     """argparse type for --n, --s, --r, --max, --max-n and --max-brute: an
-    integer >= 0."""
+    integer >= 0.  argparse names the option before the message."""
     try:
-        return check_size(parse_int(text, "n"))
-    except InputError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+        size = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {size}")
+    return size
 
 
 @functools.cache

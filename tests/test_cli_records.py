@@ -180,8 +180,9 @@ def test_internal_value_error_propagates(capsys, monkeypatch):
          "usage error: cannot parse set syntax: 'nope' ("),
         (["poly", "--n", "4", "--x", "{0}", "--y", "all"], "'{0}'"),
         (["poly", "--n", "-1", "--x", "all", "--y", "all"],
-         "argument --n: n must be >= 0"),
-        (["poly", "--n", "abc", "--x", "all", "--y", "all"], "'abc'"),
+         "argument --n: must be >= 0, got -1"),
+        (["poly", "--n", "abc", "--x", "all", "--y", "all"],
+         "argument --n: 'abc' is not an integer"),
         (["foata", "--perm", "12x"],
          "usage error: cannot parse permutation '12x': 'x' is not an integer"),
         (["foata", "--perm", "1134"], "not a permutation of 1..4: (1, 1, 3, 4)"),
@@ -250,14 +251,14 @@ CONFIGS_N3 = ["configs", "--n", "3", "--s", "1", "--r", "1", "--x", "all", "--y"
         (CONFIGS_N3 + ["--trace", ""], "trace '' is not on the letters 1..3"),
         (CONFIGS_N3 + ["--trace", "9+12"], "not a permutation of 1..3: (9, 1, 2)"),
         (["verify", "--suite", "formulas", "--max-n", "-1"],
-         "argument --max-n: n must be >= 0"),
-        (["hypergeom", "--max", "-1"], "argument --max: n must be >= 0"),
+         "argument --max-n: must be >= 0, got -1"),
+        (["hypergeom", "--max", "-1"], "argument --max: must be >= 0, got -1"),
         (["--max-brute", "-1", "poly", "--n", "3", "--x", "all", "--y", "all",
-          "--method", "brute"], "argument --max-brute: n must be >= 0"),
+          "--method", "brute"], "argument --max-brute: must be >= 0, got -1"),
         (["configs", "--n", "3", "--s", "-1", "--r", "0", "--x", "all", "--y", "all"],
-         "argument --s: n must be >= 0"),
+         "argument --s: must be >= 0, got -1"),
         (["configs", "--n", "3", "--s", "1", "--r", "-1", "--x", "all", "--y", "all"],
-         "argument --r: n must be >= 0"),
+         "argument --r: must be >= 0, got -1"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )

@@ -82,36 +82,44 @@ def test_numpy_is_imported_at_module_level_only_by_verify(module):
     assert ("numpy" in imports) == (module.name in NUMPY_AT_MODULE_LEVEL)
 
 
-# Every command but hypergeom, verify and the brute force of S_n, run in
-# one fresh interpreter: none may load numpy.  Brute force over S_n then must.
+# Every command but hypergeom, verify and brute force, run in one fresh
+# interpreter: none may load numpy, and a word brute force over its cap exits
+# 3 before it would.  Each brute-force route, run after them, then must.
+NUMPY_FREE = [
+    ("poly --n 6 --x {2,3,4,6} --y {1,4} --method recursion", 0),
+    ("poly --n 6 --x {2,3,4,6} --y {1,4} --method formula1", 0),
+    ("poly --n 6 --x {2,3,4,6} --y {1,4} --method rook", 0),
+    ("xyz --n 8 --x all --y all --z {1} --method rook", 0),
+    ("word-poly --rho 2,3,1,2 --x {2,4} --y {1,2}", 0),
+    ("--max-brute 3 word-poly --rho 3,3 --x {2} --y all --method brute", 3),
+    ("q-poly --n 5 --x {2,3}", 0),
+    ("board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}", 0),
+    ("foata --perm 61437258", 0),
+    ("configs --n 3 --s 2 --r 1 --x {2,3} --y {1,2} --list", 0),
+]
+NUMPY_ROUTES = [
+    "poly --n 6 --x all --y all --method brute",
+    "word-poly --rho 2,2,1 --x {2} --y all --method brute",
+]
 NUMPY_FREE_RUN = """
 import contextlib, io, sys
 import descentpoly
 from descentpoly import cli
-commands = [
-    "poly --n 6 --x {2,3,4,6} --y {1,4} --method recursion",
-    "poly --n 6 --x {2,3,4,6} --y {1,4} --method formula1",
-    "poly --n 6 --x {2,3,4,6} --y {1,4} --method rook",
-    "xyz --n 8 --x all --y all --z {1} --method rook",
-    "word-poly --rho 2,3,1,2 --x {2,4} --y {1,2}",
-    "word-poly --rho 2,2,1 --x {2} --y all --method brute",
-    "q-poly --n 5 --x {2,3}",
-    "board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}",
-    "foata --perm 61437258",
-    "configs --n 3 --s 2 --r 1 --x {2,3} --y {1,2} --list",
-]
-for command in commands:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(command.split()) == 0, command
+def run(command):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(command.split())
+for command, code in {free!r}:
+    assert run(command) == code, command
     assert "numpy" not in sys.modules, command
-with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main("poly --n 6 --x all --y all --method brute".split()) == 0
+assert run({route!r}) == 0
 assert "numpy" in sys.modules
 """
 
 
 def test_commands_without_a_numpy_route_never_load_numpy():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], env=env,
-                          capture_output=True, text=True, timeout=120, check=False)
-    assert done.returncode == 0, done.stderr
+    for route in NUMPY_ROUTES:
+        script = NUMPY_FREE_RUN.format(free=NUMPY_FREE, route=route)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert done.returncode == 0, (route, done.stderr)

@@ -1,12 +1,15 @@
 """enumerate_rearrangements: lexicographic order, zero parts and the cap;
-the word brute force against a count of every word from scratch."""
+the word brute force against a count of every word from scratch, with its
+blocks split on leading letters, and against both formulas."""
 
 import random
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
 import pytest
 
+from descentpoly import words
 from descentpoly.polynomials import IntPolynomial, multinomial
 from descentpoly.sets import explicit_set, parse_set
 from descentpoly.stats import CapExceededError, DescentQuery
@@ -64,14 +67,78 @@ def _brute_cases():
     return cases
 
 
-@pytest.mark.parametrize("rho,tops,bottoms", _brute_cases(), ids=str)
-def test_brute_force_on_words_matches_a_count_from_scratch(rho, tops, bottoms):
+def _count_from_scratch(rho, tops, bottoms) -> IntPolynomial:
     table = DescentQuery(tops, bottoms).match_table(len(rho))
-    counts = Counter(
+    return IntPolynomial(Counter(
         sum(table[a][b] for a, b in zip(w, w[1:]))
         for w in enumerate_rearrangements(rho)
-    )
-    assert word_brute_poly(rho, tops, bottoms) == IntPolynomial(counts)
+    ))
+
+
+@pytest.mark.parametrize("rho,tops,bottoms", _brute_cases(), ids=str)
+def test_brute_force_on_words_matches_a_count_from_scratch(rho, tops, bottoms):
+    assert word_brute_poly(rho, tops, bottoms) == _count_from_scratch(rho, tops, bottoms)
+
+
+@pytest.mark.parametrize("empty", [False, True], ids=["just-under", "empty-words"])
+@pytest.mark.parametrize("rho,tops,bottoms", _brute_cases(), ids=str)
+def test_split_on_leading_letters_matches_a_count_from_scratch(
+    monkeypatch, rho, tops, bottoms, empty
+):
+    """With the letter budget cut to just under the class, every class with
+    a letter splits until its blocks fit; with a budget of 0 each block is
+    one empty word, after a prefix that is the whole word."""
+    budget = 0 if empty else max(multinomial(rho) * sum(rho) - 1, 0)
+    blocks = []
+    count_block = words._block_counts
+
+    def spy(table, rest, last):
+        blocks.append(rest)
+        return count_block(table, rest, last)
+
+    monkeypatch.setattr(words, "_LETTER_BUDGET", budget)
+    monkeypatch.setattr(words, "_block_counts", spy)
+    assert word_brute_poly(rho, tops, bottoms) == _count_from_scratch(rho, tops, bottoms)
+    assert all(multinomial(rest) * sum(rest) <= budget for rest in blocks)
+    if sum(rho):
+        assert all(sum(rest) < sum(rho) for rest in blocks)
+    if empty:
+        assert len(blocks) == multinomial(rho)
+
+
+def test_a_class_over_the_budget_matches_both_formulas():
+    rho = (200, 2)
+    assert multinomial(rho) * sum(rho) > 2 * words._LETTER_BUDGET
+    tops, bottoms = parse_set("mod:3:0,1"), parse_set("mod:2:1")
+    brute = word_brute_poly(rho, tops, bottoms)
+    assert brute == word_form(rho, tops, bottoms).polynomial()
+    assert brute == word_form(rho, tops, bottoms, second=True).polynomial()
+    assert sum(c for _, c in brute.items()) == multinomial(rho)
+
+
+@pytest.mark.parametrize("zeros", [200, 300])
+def test_letters_past_a_narrow_type_do_not_wrap(zeros):
+    """Letters 201..203 would wrap in int8 and 301..303 in uint8."""
+    rho = (0,) * zeros + (1, 2, 1)
+    letters = range(zeros + 1, zeros + 4)
+    tops, bottoms = explicit_set(letters[1:]), explicit_set(letters[:2])
+    brute = word_brute_poly(rho, tops, bottoms)
+    assert brute == _count_from_scratch(rho, tops, bottoms)
+    assert brute == word_form(rho, tops, bottoms).polynomial()
+    assert brute.coeff(1) > 0
+
+
+def test_a_class_over_the_budget_is_counted_in_bounded_memory():
+    """(200, 2) has 20,301 words of 202 letters, about 4 budgets; the walk
+    holds about 10 bytes per letter of one block at a time."""
+    rho = (200, 2)
+    tracemalloc.start()
+    try:
+        word_brute_poly(rho, parse_set("all"), parse_set("all"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * words._LETTER_BUDGET
 
 
 def test_brute_force_on_words_keeps_the_cap_message():
