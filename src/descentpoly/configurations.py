@@ -342,6 +342,10 @@ def _required_mask(seq, flavor: Flavor, tops, bottoms) -> int:
 
 
 def _minus_count(flavor: Flavor, seq_len_in_tops: int, s: int, r: int) -> int:
+    """The number of '-'s; InputError names s or r when it is negative."""
+    for name, value in (("s", s), ("r", r)):
+        if value < 0:
+            raise InputError(f"{name} must be >= 0, got {value}")
     if flavor is Flavor.STANDARD:
         return s - r
     return seq_len_in_tops - s - r
@@ -388,12 +392,12 @@ def _layouts_by_sequence(flavor, s, r, tops, bottoms, n=None, rho=None):
     """`enumerate_configs` one sequence at a time, as (sequence, interned
     layouts) pairs in the same order, without building configurations."""
     rho = _composition(n, rho)
+    top_letters = sum(part for x, part in enumerate(rho, 1) if x in tops)
+    n_minus = _minus_count(flavor, top_letters, s, r)
     length = sum(rho)
     if length > CONFIG_CAP:
         raise CapExceededError(f"configuration enumeration capped at n <= {CONFIG_CAP}")
-    top_letters = sum(part for x, part in enumerate(rho, 1) if x in tops)
-    n_minus = _minus_count(flavor, top_letters, s, r)
-    if n_minus < 0 or r < 0:
+    if n_minus < 0:
         return
     layouts_by_required = {}
     for seq in enumerate_rearrangements(rho):
@@ -435,7 +439,7 @@ def staged_count(
     place the '-'s.  Cross-checked against direct enumeration in the tests."""
     form = word_form(_composition(n, rho), tops, bottoms, flavor is Flavor.OVERLINE)
     n_minus = _minus_count(flavor, form.top_mass, s, r)
-    if n_minus < 0 or r < 0:
+    if n_minus < 0:
         return 0
     return form.prefactor * form.weight(r) * binom(form.n + 1, n_minus)
 

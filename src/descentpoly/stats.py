@@ -1,21 +1,24 @@
 """Descent statistics: brute-force ground truth and insertion recursions.
 
-The brute-force sweeps here are the oracle everything else is checked
-against.  They enumerate all of S_n, so they are capped (default n = 10);
-the recursions are exact and polynomially bounded, and serve as the
-reference beyond the cap.  The brute-force walk imports numpy inside the
-two functions that use it, so a caller that never walks S_n never loads it.
+The brute force here is the oracle everything else is checked against.
+One blocked walk counts every word of a class R(rho), and S_n is the class
+1^n, so it is capped (default n = 10; ``words`` caps word classes); the
+recursions are exact and polynomially bounded, and serve as the reference
+beyond the cap.  The walk imports numpy inside the functions that use it,
+after the caller's cap check, so a caller that never walks a class never
+loads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, chain, count, permutations, repeat
+from itertools import accumulate, chain, combinations, count, repeat
+from math import comb
 from operator import add, mul, sub
 
 from .perms import check_size
-from .polynomials import BivarPolynomial, IntPolynomial
+from .polynomials import BivarPolynomial, IntPolynomial, multinomial
 from .sets import ALL, IntegerSet, explicit_set
 
 __all__ = [
@@ -88,87 +91,123 @@ def _check_cap(n: int, limit: int):
         )
 
 
-BLOCK_SIZE = 8  # a block holds the 8! orders of the last 8 values
-WINDOW = 5  # positions per window: a window table has k^5 = 32,768 cells at k = 8
+_LETTER_BUDGET = 1 << 20  # letters in one block: rows x word length
+# blocks kept built; under the budget a block has at most 8 labels (8!·8 <=
+# 2^20 < 9!·9), so each of its window indices takes one or two bytes
+_BLOCKS = 16
+WINDOW = 5  # positions per window: a window table has 9^5 = 59,049 cells at 8 labels
 
 
-@lru_cache(maxsize=None)
-def _block(k: int) -> tuple:
-    """S_k over the labels 0..k-1, as read-only intp arrays with one entry
-    per permutation: its first label, and, per window of WINDOW
-    consecutive positions (consecutive windows share one position, so
-    every adjacent pair lies in exactly one window), the flat index
-    Σ u_i·k^(w-1-i) of the labels u_0..u_(w-1) it has there.  Returns
-    (first, windows), windows as (w, index) pairs; windows of fewer than
-    two positions hold no pair and are left out.  S_k is built by
-    inserting k-1 into every slot of S_{k-1}."""
+def _placements(f: int, p: int):
+    """Where each of f positions reads its letter, in each of the C(f, p)
+    ways to place p copies of a new letter among them, one row per way: the
+    k-th position the new letter leaves free reads index k of the word so
+    far, and a position it takes reads index f - p, just past that word."""
     import numpy as np
 
-    perms = np.zeros((1, 0), dtype=np.int8)
-    for v in range(k):
-        rows = len(perms)
-        new = np.empty((rows * (v + 1), v + 1), dtype=np.int8)
-        for slot in range(v + 1):
-            part = new[slot * rows:(slot + 1) * rows]
-            part[:, :slot] = perms[:, :slot]
-            part[:, slot] = v
-            part[:, slot + 1:] = perms[:, slot:]
-        perms = new
-    first = perms[:, 0].astype(np.intp) if k else np.zeros(1, dtype=np.intp)
-    windows = []
-    for start in range(0, k - 1, WINDOW - 1):
-        cols = perms[:, start:start + WINDOW]
-        index = cols[:, 0].astype(np.intp)
-        for col in cols.T[1:]:
-            index *= k
-            index += col
-        windows.append((cols.shape[1], index))
-    for array in (first, *(index for _, index in windows)):
-        array.setflags(write=False)
-    return first, windows
+    ways = comb(f, p)
+    taken = np.fromiter(
+        chain.from_iterable(combinations(range(f), p)), dtype=np.intp, count=ways * p
+    ).reshape(ways, p)
+    mask = np.zeros((ways, f), dtype=bool)
+    mask[np.arange(ways)[:, None], taken] = True
+    source = (~mask).astype(np.intp)
+    np.cumsum(source, axis=1, out=source)
+    source -= 1
+    np.putmask(source, mask, f - p)
+    return source
 
 
-def _match_counts(n: int, query: DescentQuery) -> dict[int, int]:
-    """How many permutations of S_n have each number of matching descents.
+@lru_cache(maxsize=_BLOCKS)
+def _word_block(parts: tuple[int, ...]):
+    """Every word with parts[i] copies of the label i, for the k = len(parts)
+    labels 0..k-1, as a read-only array with one column per word: per
+    window of WINDOW consecutive positions, the flat index
+    Σ u_i·(k+1)^(WINDOW-1-i) of the labels u_0..u_(WINDOW-1) it has there.
 
-    The query is asked once per pair a > b, into a table.  S_n is walked in
-    blocks: for each ordered prefix of n - k values (k = min(n, 8)), the
-    block holds every order of the k values that remain.  From the k x k
-    table sub of their matching pairs, the prefix builds, for each window
-    length w, the table t[u_0..u_(w-1)] = Σ sub[u_i, u_(i+1)] by broadcast
-    adds, and counts each row as the sum of t over its windows, plus the
-    pair where prefix and block join and the prefix's own pairs.  Every
-    permutation is counted; memory stays at one block.
+    Each word is read with the label k before it and after it, as often as
+    it takes to fill the last window.  Consecutive windows share one
+    position, so every adjacent pair, the leading one included, lies in
+    exactly one window.  Label 0 fills the first row; each other label is
+    then placed in every way among the labels placed so far, by one gather
+    from the rows with that label appended."""
+    import numpy as np
+
+    k = len(parts)
+    rows = np.zeros((1, parts[0] if k else 0), dtype=np.min_scalar_type(k))
+    for label, part in enumerate(parts[1:], start=1):
+        length = rows.shape[1]
+        wider = np.empty((len(rows), length + 1), dtype=rows.dtype)
+        wider[:, :length] = rows
+        wider[:, length] = label
+        source = _placements(length + part, part)
+        rows = wider.take(source, axis=1).reshape(-1, length + part)
+    step = WINDOW - 1
+    windows = -(-rows.shape[1] // step)  # one pair per letter, with the leading one
+    dtype = np.min_scalar_type((k + 1) ** WINDOW - 1)
+    padded = np.full((len(rows), windows * step + 1), k, dtype=dtype)
+    padded[:, 1:rows.shape[1] + 1] = rows
+    index = np.zeros((windows, len(rows)), dtype=dtype)
+    for i in range(WINDOW):
+        index *= k + 1
+        index += padded[:, i:i + windows * step:step].T
+    index.setflags(write=False)
+    return index
+
+
+def _class_counts(rho, query: DescentQuery) -> list[int]:
+    """How many words of R(rho) have each number of matching descents, as
+    a list by that number; S_n is the class rho = 1^n.
+
+    The query is asked once per letter pair a > b, into a table.  The words
+    are counted in blocks of at most _LETTER_BUDGET letters (rows x word
+    length).  A class over the budget splits on its leading letter: each
+    sub-class is the rest of the word after a fixed prefix, and carries the
+    prefix's own count and its last letter.  The split repeats until every
+    sub-class fits; for S_n that leaves every order of the last 8 values.
+
+    A sub-class of k letters is one _word_block, its letters labelled
+    0..k-1 by decreasing part, so every block of S_n is the block of 1^8.
+    From the (k+1) x (k+1) table sub of its letters' matching pairs, with
+    the label k read as the prefix's last letter before a word and as
+    nothing after it, the sub-class builds the window table
+    t[u_0..u_(WINDOW-1)] = Σ sub[u_i, u_(i+1)] by broadcast adds, and counts
+    each word as the sum of t over its windows.  Every word is counted on
+    its own, by its row sum; memory stays at a few blocks.
     """
     import numpy as np
 
-    table = np.array(query.match_table(n), dtype=np.uint8)
-    k = min(n, BLOCK_SIZE)
-    first, windows = _block(k)
-    counts = [0] * (n + 1)
-    values = range(1, n + 1)
-    for prefix in permutations(values, n - k):
-        rest = np.array(sorted(set(values).difference(prefix)), dtype=np.intp)
-        sub = table[np.ix_(rest, rest)]
-        tables = {2: sub}
-        for w in range(3, min(k, WINDOW) + 1):
-            h = (w + 1) // 2  # the two halves share position h - 1
-            tables[w] = tables[h][(...,) + (None,) * (w - h)] + tables[w - h + 1]
-        rows = np.zeros(len(first), dtype=np.uint8)
-        for w, index in windows:
-            rows += tables[w].take(index)
-        if prefix:
-            rows += table[prefix[-1], rest].take(first)
-            rows += sum(table[a, b] for a, b in zip(prefix, prefix[1:]))
-        block_counts = np.bincount(rows, minlength=n + 1).tolist()
-        counts = list(map(add, counts, block_counts))
-    return {s: c for s, c in enumerate(counts) if c}
+    match = query.match_table(len(rho))
+    # row and column 0 are zero, as sets hold positive integers only: 0
+    # reads as no letter before a word, or after it
+    table = np.array(match, dtype=np.uint8)
+    counts = np.zeros(max(sum(rho), 1), dtype=np.int64)
+    classes = [(tuple(rho), 0, 0)]  # (letters left, prefix count, last letter or 0)
+    while classes:
+        rest, done, last = classes.pop()
+        length = sum(rest)
+        if length and multinomial(rest) * length > _LETTER_BUDGET:
+            for v, part in enumerate(rest, start=1):
+                if part:
+                    sub = rest[:v - 1] + (part - 1,) + rest[v:]
+                    classes.append((sub, done + match[last][v], v))
+            continue
+        letters = sorted((v for v, part in enumerate(rest, start=1) if part),
+                         key=lambda v: -rest[v - 1])
+        pairs = table[np.ix_(letters + [last], letters + [0])]
+        t = pairs[:, :, None] + pairs  # windows of 3 positions
+        t = t[:, :, :, None, None] + t  # of 5: two of 3 that share the middle
+        index = _word_block(tuple(rest[v - 1] for v in letters))
+        sums = t.take(index).sum(axis=0, dtype=np.min_scalar_type(length))
+        block = np.bincount(sums)
+        counts[done:done + len(block)] += block
+    return counts.tolist()
 
 
 def brute_poly(n: int, query: DescentQuery, limit: int = DEFAULT_BRUTE_CAP) -> IntPolynomial:
     """Sum over all of S_n of x^(number of matching descents)."""
     _check_cap(n, limit)
-    return IntPolynomial(_match_counts(n, query))
+    return IntPolynomial.from_coeffs(_class_counts((1,) * n, query))
 
 
 def brute_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomial:
@@ -176,8 +215,8 @@ def brute_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomia
     1..n are outside the bottoms set."""
     _check_cap(n, DEFAULT_BRUTE_CAP)
     t = len(bottoms.complement_in(n))
-    counts = _match_counts(n, DescentQuery(tops, bottoms))
-    return BivarPolynomial({(s, t): c for s, c in counts.items()})
+    counts = _class_counts((1,) * n, DescentQuery(tops, bottoms))
+    return BivarPolynomial({(s, t): c for s, c in enumerate(counts)})
 
 
 def recursion_bivar(n: int, tops: IntegerSet, bottoms: IntegerSet) -> BivarPolynomial:

@@ -12,7 +12,7 @@ from descentpoly.sets import ALL, EVENS, explicit_set, residue_set
 from descentpoly.stats import (
     CapExceededError,
     DescentQuery,
-    _block,
+    _word_block,
     brute_bivar,
     brute_poly,
     recursion_bivar,
@@ -78,7 +78,7 @@ def test_default_cap_still_holds():
 
 @pytest.mark.parametrize("n", range(9))
 def test_every_block_size(n):
-    # n <= 8 is one block of k = n: one window up to k = 5, two past it
+    # n <= 8 is one block of n labels: one window up to n = 4, two past it
     rng = random.Random(300 + n)
     for tops, bottoms in _pairs(n, rng):
         expected = recursion_bivar(n, tops, bottoms)
@@ -102,5 +102,4 @@ def test_past_the_cap_on_request():
 
 
 def test_cached_windows_stay_small():
-    first, windows = _block(8)
-    assert sum(a.nbytes for a in (first, *(index for _, index in windows))) <= 1 << 20
+    assert _word_block((1,) * 8).nbytes <= 1 << 20

@@ -124,6 +124,12 @@ def test_walk_yields_each_sequence_once_in_order():
             for r in range(-1, 6):
                 for n, rho in [(4, None), (None, (2, 1, 2))]:
                     args = (flavor, s, r, tops, bottoms)
+                    if min(s, r) < 0:
+                        with pytest.raises(InputError, match="must be >= 0"):
+                            list(_layouts_by_sequence(*args, n, rho))
+                        with pytest.raises(InputError, match="must be >= 0"):
+                            enumerate_configs(*args, n=n, rho=rho)
+                        continue
                     walk = list(_layouts_by_sequence(*args, n, rho))
                     seqs = [seq for seq, _ in walk]
                     assert seqs == sorted(set(seqs))

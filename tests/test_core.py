@@ -161,6 +161,8 @@ class TestPolynomials:
         pair = {BivarPolynomial({(1, 0): 2}), BivarPolynomial({(1, 0): 2, (0, 1): 0})}
         assert len(pair) == 1
         assert repr(IntPolynomial({0: 1, 2: 3})) == "1 + 3*x^2"
+        assert repr(IntPolynomial({1: 1, 2: 1, 3: 2})) == "x + x^2 + 2*x^3"
+        assert repr(IntPolynomial({1: 5})) == "5*x"
         b = BivarPolynomial({(0, 0): 1, (2, 1): 5, (0, 3): 4})
         assert repr(b) == "1 + 4*v^3 + 5*u^2*v^1"
 

@@ -83,8 +83,9 @@ def test_numpy_is_imported_at_module_level_only_by_verify(module):
 
 
 # Every command but hypergeom, verify and brute force, run in one fresh
-# interpreter: none may load numpy, and a word brute force over its cap exits
-# 3 before it would.  Each brute-force route, run after them, then must.
+# interpreter: none may load numpy, and a brute force over its cap, on S_n
+# or on a word class, exits 3 before it would.  Each brute-force route, run
+# after them, then must.
 NUMPY_FREE = [
     ("poly --n 6 --x {2,3,4,6} --y {1,4} --method recursion", 0),
     ("poly --n 6 --x {2,3,4,6} --y {1,4} --method formula1", 0),
@@ -92,6 +93,7 @@ NUMPY_FREE = [
     ("xyz --n 8 --x all --y all --z {1} --method rook", 0),
     ("word-poly --rho 2,3,1,2 --x {2,4} --y {1,2}", 0),
     ("--max-brute 3 word-poly --rho 3,3 --x {2} --y all --method brute", 3),
+    ("--max-brute 3 poly --n 5 --x all --y all --method brute", 3),
     ("q-poly --n 5 --x {2,3}", 0),
     ("board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}", 0),
     ("foata --perm 61437258", 0),

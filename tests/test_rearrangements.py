@@ -9,7 +9,7 @@ from itertools import permutations
 
 import pytest
 
-from descentpoly import words
+from descentpoly import stats
 from descentpoly.polynomials import IntPolynomial, multinomial
 from descentpoly.sets import explicit_set, parse_set
 from descentpoly.stats import CapExceededError, DescentQuery
@@ -80,6 +80,19 @@ def test_brute_force_on_words_matches_a_count_from_scratch(rho, tops, bottoms):
     assert word_brute_poly(rho, tops, bottoms) == _count_from_scratch(rho, tops, bottoms)
 
 
+def _spy_on_blocks(monkeypatch) -> list:
+    """The parts of every block the walk reads, in order."""
+    blocks = []
+    build = stats._word_block
+
+    def spy(parts):
+        blocks.append(parts)
+        return build(parts)
+
+    monkeypatch.setattr(stats, "_word_block", spy)
+    return blocks
+
+
 @pytest.mark.parametrize("empty", [False, True], ids=["just-under", "empty-words"])
 @pytest.mark.parametrize("rho,tops,bottoms", _brute_cases(), ids=str)
 def test_split_on_leading_letters_matches_a_count_from_scratch(
@@ -89,26 +102,39 @@ def test_split_on_leading_letters_matches_a_count_from_scratch(
     a letter splits until its blocks fit; with a budget of 0 each block is
     one empty word, after a prefix that is the whole word."""
     budget = 0 if empty else max(multinomial(rho) * sum(rho) - 1, 0)
-    blocks = []
-    count_block = words._block_counts
-
-    def spy(table, rest, last):
-        blocks.append(rest)
-        return count_block(table, rest, last)
-
-    monkeypatch.setattr(words, "_LETTER_BUDGET", budget)
-    monkeypatch.setattr(words, "_block_counts", spy)
+    blocks = _spy_on_blocks(monkeypatch)
+    monkeypatch.setattr(stats, "_LETTER_BUDGET", budget)
     assert word_brute_poly(rho, tops, bottoms) == _count_from_scratch(rho, tops, bottoms)
-    assert all(multinomial(rest) * sum(rest) <= budget for rest in blocks)
+    assert all(multinomial(parts) * sum(parts) <= budget for parts in blocks)
     if sum(rho):
-        assert all(sum(rest) < sum(rho) for rest in blocks)
+        assert all(sum(parts) < sum(rho) for parts in blocks)
     if empty:
         assert len(blocks) == multinomial(rho)
 
 
+@pytest.mark.parametrize("cut", [False, True], ids=["whole", "cut"])
+@pytest.mark.parametrize(
+    "rho", [(1,) * 8, (2, 1, 1, 1, 1, 1, 1), (1, 1, 1, 2, 1, 1, 1)], ids=str
+)
+def test_blocks_with_the_most_labels_match_a_count_from_scratch(monkeypatch, rho, cut):
+    """No block under the budget holds more labels than these classes: its
+    windows index up to 9^5 cells.  Whole, each class is one block over its
+    parts in decreasing order; cut just under the budget, it splits."""
+    rng = random.Random(len(rho))
+    letters = range(1, len(rho) + 1)
+    tops = explicit_set(v for v in letters if rng.random() < 0.6)
+    bottoms = explicit_set(v for v in letters if rng.random() < 0.6)
+    blocks = _spy_on_blocks(monkeypatch)
+    if cut:
+        monkeypatch.setattr(stats, "_LETTER_BUDGET", multinomial(rho) * sum(rho) - 1)
+    assert word_brute_poly(rho, tops, bottoms) == _count_from_scratch(rho, tops, bottoms)
+    if not cut:
+        assert blocks == [tuple(sorted(rho, reverse=True))]
+
+
 def test_a_class_over_the_budget_matches_both_formulas():
     rho = (200, 2)
-    assert multinomial(rho) * sum(rho) > 2 * words._LETTER_BUDGET
+    assert multinomial(rho) * sum(rho) > 2 * stats._LETTER_BUDGET
     tops, bottoms = parse_set("mod:3:0,1"), parse_set("mod:2:1")
     brute = word_brute_poly(rho, tops, bottoms)
     assert brute == word_form(rho, tops, bottoms).polynomial()
@@ -138,7 +164,7 @@ def test_a_class_over_the_budget_is_counted_in_bounded_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * words._LETTER_BUDGET
+    assert peak < 16 * stats._LETTER_BUDGET
 
 
 def test_brute_force_on_words_keeps_the_cap_message():

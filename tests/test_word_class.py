@@ -162,6 +162,14 @@ def test_negative_sizes_are_input_errors():
         staged_count(Flavor.OVERLINE, 0, 0, ALL, ALL, n=-1)
     with pytest.raises(InputError):
         Board(-2, frozenset())
+    for flavor in Flavor:
+        for s, r, name in ((-1, 0, "s"), (0, -1, "r"), (-2, -1, "s")):
+            for size in ({"n": 2}, {"rho": (1, 2)}):
+                args = (flavor, s, r, ALL, ALL)
+                with pytest.raises(InputError, match=f"^{name} must be >= 0"):
+                    enumerate_configs(*args, **size)
+                with pytest.raises(InputError, match=f"^{name} must be >= 0"):
+                    staged_count(*args, **size)
 
 
 def test_negative_parts_are_input_errors_for_every_s_and_r():
