@@ -3,7 +3,9 @@
 Every subcommand emits an OutputRecord, as JSON (default) or as aligned
 text; both formats carry the same payload.  Polynomial coefficients are
 serialized as decimal strings so arbitrary-precision values survive any
-JSON parser.
+JSON parser.  Python's limit on the digits of an int printed as a string
+(4,300 by default) is lifted while a command runs and prints, and restored
+when `main` returns; argument parsing keeps it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
 input, 3 cap exceeded.  Any other exception is an internal error and is
@@ -304,6 +306,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(args)
+    finally:
+        sys.set_int_max_str_digits(digits)
+
+
+def _run(args) -> int:
+    """Run the parsed command and print its record, or its error."""
     t0 = time.monotonic()
     inputs: dict = {}
     code = EXIT_OK

@@ -354,7 +354,7 @@ def _minus_count(flavor: Flavor, seq_len_in_tops: int, s: int, r: int) -> int:
 def _composition(n: int | None, rho) -> tuple[int, ...]:
     """The word class to walk: rho, or 1^n for S_n."""
     if (n is None) == (rho is None):
-        raise ValueError("pass exactly one of n and rho")
+        raise InputError("pass exactly one of n and rho")
     return (1,) * check_size(n) if rho is None else _check_rho(rho)
 
 

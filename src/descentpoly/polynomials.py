@@ -1,14 +1,16 @@
 """Exact integer-coefficient polynomials in one or two variables.
 
 Coefficients are Python ints (arbitrary precision); zero coefficients are
-never stored.  These are deliberately small sparse-dict classes: the whole
-package depends on exact arithmetic, and the routes compute on plain lists
-of ints.  The classes need no more than construction, reading coefficients,
-equality and (for the two-variable class) specialization of one variable.
+never stored.  Both classes are deliberately small and share one private
+sparse-dict body: the routes compute on plain lists of ints and build each
+one-variable answer by IntPolynomial.from_coeffs, so the classes need no
+more than construction, reading coefficients, equality and (for the
+two-variable class) specialization of one variable.
 """
 
 from __future__ import annotations
 
+from itertools import chain, starmap
 from math import comb, factorial, perm, prod
 
 __all__ = ["IntPolynomial", "BivarPolynomial", "poch", "binom", "multinomial"]
@@ -46,24 +48,49 @@ def multinomial(parts) -> int:
     return factorial(sum(parts)) // prod(map(factorial, parts))
 
 
-class IntPolynomial:
-    """Polynomial in one variable with integer coefficients."""
+class _Sparse:
+    """The body both types share: nonzero coefficients by exponent key, from
+    a dict or (key, coefficient) pairs.  A subclass gives the smallest
+    exponent in its keys (_smallest) and the spelling of a term (_term)."""
 
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=None):
         c = {}
-        if coeffs:
-            for e, v in dict(coeffs).items():
-                if v:
-                    if e < 0:
-                        raise ValueError("negative exponent")
-                    c[e] = v
+        for e, v in coeffs.items() if isinstance(coeffs, dict) else coeffs or ():
+            if v:
+                c[e] = v
+        if c and self._smallest(c) < 0:
+            raise ValueError("negative exponent")
         self._c = c
+
+    def items(self):
+        return self._c.items()
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._c == other._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __repr__(self) -> str:
+        return " + ".join(starmap(self._term, sorted(self._c.items()))) or "0"
+
+
+class IntPolynomial(_Sparse):
+    """Polynomial in one variable with integer coefficients."""
+
+    __slots__ = ()
+    _smallest = staticmethod(min)
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPolynomial":
-        return cls({e: v for e, v in enumerate(seq)})
+        return cls(enumerate(seq))
 
     def coeff(self, e: int) -> int:
         return self._c.get(e, 0)
@@ -76,97 +103,52 @@ class IntPolynomial:
     def coeff_list(self) -> list[int]:
         return [self.coeff(e) for e in range(self.degree + 1)]
 
-    def items(self):
-        return self._c.items()
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = IntPolynomial({0: other})
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self._c == other._c
+        return _Sparse.__eq__(self, other)
 
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
+    __hash__ = _Sparse.__hash__
 
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-        terms = []
-        for e in sorted(self._c):
-            v = self._c[e]
-            if e == 0:
-                terms.append(str(v))
-            elif e == 1:
-                terms.append(f"{v}*x" if v != 1 else "x")
-            else:
-                terms.append(f"{v}*x^{e}" if v != 1 else f"x^{e}")
-        return " + ".join(terms)
+    @staticmethod
+    def _term(e: int, v: int) -> str:
+        power = "x" if e == 1 else f"x^{e}"
+        return str(v) if e == 0 else power if v == 1 else f"{v}*{power}"
 
 
-class BivarPolynomial:
+class BivarPolynomial(_Sparse):
     """Polynomial in two variables, keys (e1, e2) for the exponent pair.
 
     Used with (x, y) exponents for the two-variable descent polynomials and
     with (q, x) exponents for the q-refined ones; callers pick the reading.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for (e1, e2), v in dict(coeffs).items():
-                if v:
-                    if e1 < 0 or e2 < 0:
-                        raise ValueError("negative exponent")
-                    c[(e1, e2)] = v
-        self._c = c
+    @staticmethod
+    def _smallest(keys) -> int:
+        return min(chain.from_iterable(keys))
 
     def coeff(self, e1: int, e2: int) -> int:
         return self._c.get((e1, e2), 0)
 
-    def items(self):
-        return self._c.items()
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivarPolynomial):
-            return NotImplemented
-        return self._c == other._c
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
     def specialize_first(self, value: int) -> IntPolynomial:
         """Substitute the first variable, leaving a polynomial in the second."""
-        out = {}
-        for (e1, e2), c in self._c.items():
-            out[e2] = out.get(e2, 0) + c * value**e1
-        return IntPolynomial(out)
+        return self._specialize(value, 0)
 
     def specialize_second(self, value: int) -> IntPolynomial:
         """Substitute the second variable, leaving a polynomial in the first."""
+        return self._specialize(value, 1)
+
+    def _specialize(self, value: int, gone: int) -> IntPolynomial:
+        """Substitute value for the variable at index gone of each key."""
         out = {}
-        for (e1, e2), c in self._c.items():
-            out[e1] = out.get(e1, 0) + c * value**e2
+        for key, c in self._c.items():
+            e = key[1 - gone]
+            out[e] = out.get(e, 0) + c * value ** key[gone]
         return IntPolynomial(out)
 
-    def __repr__(self) -> str:
-        if not self._c:
-            return "0"
-        terms = []
-        for e1, e2 in sorted(self._c):
-            v = self._c[(e1, e2)]
-            part = str(v)
-            if e1:
-                part += f"*u^{e1}"
-            if e2:
-                part += f"*v^{e2}"
-            terms.append(part)
-        return " + ".join(terms)
+    @staticmethod
+    def _term(e: tuple[int, int], v: int) -> str:
+        e1, e2 = e
+        return str(v) + (f"*u^{e1}" if e1 else "") + (f"*v^{e2}" if e2 else "")

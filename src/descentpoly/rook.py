@@ -246,7 +246,7 @@ def hit_numbers_enumerate(board: Board) -> list[int]:
 
 
 def hit_polynomial(board: Board) -> IntPolynomial:
-    return IntPolynomial({s: h for s, h in enumerate(hit_numbers(board))})
+    return IntPolynomial.from_coeffs(hit_numbers(board))
 
 
 def hit_polynomial_permanent(board: Board) -> IntPolynomial:
@@ -369,4 +369,4 @@ def hits_with_route(n: int, query: DescentQuery) -> tuple[IntPolynomial, dict]:
             if i in query.bottoms:
                 below += 1
         r, route = ferrers_rook_numbers(_heights(counts)), {"rook_path": "ferrers"}
-    return IntPolynomial(dict(enumerate(_hits_from_rooks(r, n)))), route
+    return IntPolynomial.from_coeffs(_hits_from_rooks(r, n)), route

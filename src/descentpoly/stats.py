@@ -159,12 +159,13 @@ def _class_counts(rho, query: DescentQuery) -> list[int]:
     """How many words of R(rho) have each number of matching descents, as
     a list by that number; S_n is the class rho = 1^n.
 
-    The query is asked once per letter pair a > b, into a table.  The words
-    are counted in blocks of at most _LETTER_BUDGET letters (rows x word
-    length).  A class over the budget splits on its leading letter: each
-    sub-class is the rest of the word after a fixed prefix, and carries the
-    prefix's own count and its last letter.  The split repeats until every
-    sub-class fits; for S_n that leaves every order of the last 8 values.
+    The query is asked once per pair of letters that occur, into a table.
+    The words are counted in blocks of at most _LETTER_BUDGET letters
+    (rows x word length).  A class over the budget splits on its leading
+    letter: each sub-class is the rest of the word after a fixed prefix,
+    and carries the prefix's own count and its last letter.  The split
+    repeats until every sub-class fits; for S_n that leaves every order of
+    the last 8 values.
 
     A sub-class of k letters is one _word_block, its letters labelled
     0..k-1 by decreasing part, so every block of S_n is the block of 1^8.
@@ -177,10 +178,12 @@ def _class_counts(rho, query: DescentQuery) -> list[int]:
     """
     import numpy as np
 
-    match = query.match_table(len(rho))
-    # row and column 0 are zero, as sets hold positive integers only: 0
-    # reads as no letter before a word, or after it
+    # the letters that occur, as 1..k; row and column 0 are zero, as sets
+    # hold positive integers only: 0 reads as no letter before or after a word
+    values = [0] + [v for v, part in enumerate(rho, start=1) if part]
+    match = [[query.matches(a, b) for b in values] for a in values]
     table = np.array(match, dtype=np.uint8)
+    rho = [part for part in rho if part]
     counts = np.zeros(max(sum(rho), 1), dtype=np.int64)
     classes = [(tuple(rho), 0, 0)]  # (letters left, prefix count, last letter or 0)
     while classes:

@@ -2,6 +2,8 @@
 
 import json
 import shlex
+import sys
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,16 @@ from descentpoly.cli import (
     EXIT_USAGE,
     main,
 )
+
+
+def _digits(value: int) -> str:
+    """str(value), however many digits it has."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def run(capsys, *argv):
@@ -85,9 +97,31 @@ class TestPoly:
             "--method", "recursion",
         )
         total = sum(int(v) for v in record["result"]["coefficients"].values())
-        from math import factorial
-
         assert total == factorial(30)
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_values_past_the_int_digit_limit_print(self, capsys, fmt):
+        # 1599! has 4,431 digits, past Python's default limit of 4,300
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "--format", fmt, "poly", "--n", "1600",
+                             "--x", "{1600}", "--y", "all", "--method", "rook")
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, err) == (EXIT_OK, "")
+        want = {"0": _digits(factorial(1599)), "1": _digits(1599 * factorial(1599))}
+        if fmt == "json":
+            assert json.loads(out)["result"]["coefficients"] == want
+        else:
+            assert f"    0: {want['0']}\n    1: {want['1']}\n" in out
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_a_cap_past_the_int_digit_limit_prints(self, capsys, fmt):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "--format", fmt, "word-poly", "--rho", "8000,8000",
+                             "--x", "all", "--y", "all", "--method", "brute")
+        assert sys.get_int_max_str_digits() == limit
+        assert (code, out) == (EXIT_CAP, "")
+        count = _digits(comb(16000, 8000))
+        assert err == f"cap exceeded: |R((8000, 8000))| = {count} exceeds the cap 1000000\n"
 
 
 class TestOtherCommands:

@@ -166,6 +166,27 @@ class TestPolynomials:
         b = BivarPolynomial({(0, 0): 1, (2, 1): 5, (0, 3): 4})
         assert repr(b) == "1 + 4*v^3 + 5*u^2*v^1"
 
+    def test_both_types_share_one_sparse_body(self):
+        for one, other in ((IntPolynomial(), BivarPolynomial()),
+                           (IntPolynomial({0: 1}), BivarPolynomial({(0, 0): 1}))):
+            assert one != other and other != one
+            assert one == type(one)(dict(one.items()))
+        assert hash(IntPolynomial({0: 1, 2: 3})) == hash(IntPolynomial({2: 3, 0: 1, 5: 0}))
+        assert hash(BivarPolynomial({(1, 2): 3})) == hash(BivarPolynomial({(1, 2): 3, (0, 0): 0}))
+        assert IntPolynomial({-1: 0}) == IntPolynomial() == 0
+        assert not IntPolynomial({-1: 0}) and repr(IntPolynomial({-1: 0})) == "0"
+        for make, key in ((IntPolynomial, -1), (BivarPolynomial, (-1, 0)),
+                          (BivarPolynomial, (0, -1)), (BivarPolynomial, (2, -1))):
+            with pytest.raises(ValueError, match="negative exponent"):
+                make({key: 1})
+        p = IntPolynomial.from_coeffs([0, 2, 0, 0])
+        assert p == IntPolynomial({1: 2}) and p.degree == 1 and p.coeff_list() == [0, 2]
+        b = BivarPolynomial({(0, 0): 1, (2, 1): 5, (0, 3): 4, (1, 2): -3})
+        assert b.specialize_first(2) == IntPolynomial({0: 1, 1: 20, 2: -6, 3: 4})
+        assert b.specialize_second(3) == IntPolynomial({0: 109, 1: -27, 2: 15})
+        assert b.specialize_first(0) == IntPolynomial({0: 1, 3: 4})
+        assert b.specialize_second(0) == IntPolynomial({0: 1})
+
 
 def test_from_cycles_fills_in_the_fixed_points():
     assert from_cycles([[1, 3]], 4) == (3, 2, 1, 4)

@@ -172,6 +172,15 @@ def test_negative_sizes_are_input_errors():
                     staged_count(*args, **size)
 
 
+def test_neither_or_both_of_n_and_rho_is_an_input_error():
+    for size in ({}, {"n": 2, "rho": (1, 1)}):
+        args = (Flavor.STANDARD, 0, 0, ALL, ALL)
+        with pytest.raises(InputError, match="^pass exactly one of n and rho$"):
+            enumerate_configs(*args, **size)
+        with pytest.raises(InputError, match="^pass exactly one of n and rho$"):
+            staged_count(*args, **size)
+
+
 def test_negative_parts_are_input_errors_for_every_s_and_r():
     for flavor in Flavor:
         for s in range(-1, 4):
