@@ -9,9 +9,9 @@ when `main` returns; argument parsing keeps it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or invalid
 input, 3 cap exceeded.  Any other exception is an internal error and is
-not caught.  Only `verify`, `hypergeom` and the brute force of `poly`,
-`xyz` and `word-poly` load numpy; `verify` is imported inside the two
-commands that run its sweeps.
+not caught.  Only `verify` and the brute force of `poly`, `xyz` and
+`word-poly` load numpy; `verify` and `hypergeom` are imported inside the
+commands that run their sweeps.
 """
 
 from __future__ import annotations
@@ -195,12 +195,12 @@ def cmd_qpoly(args, inputs: dict) -> dict:
 
 
 def cmd_hypergeom(args, inputs: dict) -> dict:
-    from . import verify
+    from . import hypergeom
 
     inputs.update(suite=args.suite, max=args.max)
     if args.suite == "balanced":
-        return {"cases_checked": verify.sweep_balanced()}
-    sweep = verify.sweep_pfaff if args.suite == "pfaff" else verify.sweep_cor35
+        return {"cases_checked": hypergeom.sweep_balanced()}
+    sweep = hypergeom.sweep_pfaff if args.suite == "pfaff" else hypergeom.sweep_cor35
     return {"cases_checked": sweep(args.max)}
 
 

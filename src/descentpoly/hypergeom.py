@@ -1,25 +1,28 @@
-"""Terminating hypergeometric series with integer parameters, exactly.
+"""Terminating hypergeometric series with integer parameters, exactly, and
+the sweeps that check their identities against descent counts.
 
 Every series handled here has all-negative-integer parameters and unit
 argument, so it terminates: some numerator Pochhammer hits zero.  The
 evaluation sums in integers, one numerator over one denominator, and the
 private helpers pass that (numerator, denominator) pair on unreduced, so
-the sweeps in ``verify`` compare sides by cross-multiplication; the Pfaff
-right side is such a pair too.  The public functions turn each pair into a
-single reduced Fraction.  The interesting content is the validation (no
-denominator Pochhammer may vanish first) and the identities the rest of the
-package checks against descent-polynomial counts.
+the sweeps compare sides by cross-multiplication and build a Fraction only
+for a failure record; the Pfaff right side is such a pair too.  The public
+functions turn each pair into a single reduced Fraction.  Each sweep raises
+VerificationError on the first disagreement and returns the number of
+cases checked otherwise; none of them needs numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 from math import prod
 from typing import NamedTuple
 
+from . import closed_forms
 from .closed_forms import formula_alpha_beta, formula_beta_beta
-from .perms import InputError
+from .perms import InputError, VerificationError, check_size
 from .polynomials import poch
 from .sets import ALL, IntegerSet, explicit_set
 
@@ -33,6 +36,10 @@ __all__ = [
     "pfaff_saalschutz_lhs",
     "pfaff_saalschutz_rhs",
     "verify_cor35",
+    "sweep_pfaff",
+    "sweep_cor35",
+    "sweep_balanced",
+    "sweep_hypergeom",
 ]
 
 
@@ -243,3 +250,77 @@ def verify_cor35(k: int, m: int, s: int) -> tuple[Fraction, Fraction, int]:
     _, members = tau_sequence(profile, n)
     left, right = _balanced_sides(profile, n, s)
     return Fraction(*left), Fraction(*right), formula_beta_beta(n, s, members, ALL)
+
+
+def sweep_pfaff(max_param: int = 5) -> int:
+    """The Pfaff-Saalschutz formula for integers a, b in [-max_param, 0],
+    n in [0, max_param] and c in [-2 max_param, max_param], if well posed."""
+    checked = 0
+    for a in range(-check_size(max_param), 1):
+        for b in range(-max_param, 1):
+            for n in range(max_param + 1):
+                for c in range(-2 * max_param, max_param + 1):
+                    try:  # a case needs both sides; the cheap one goes first
+                        rnum, rden = _pfaff_rhs_pair(n, a, b, c)
+                        num, den = _pfaff_lhs_pair(n, a, b, c)
+                    except IllPosedSeriesError:
+                        continue
+                    if num * rden != rnum * den:
+                        raise VerificationError(
+                            "summation formula fails",
+                            {"n": n, "a": a, "b": b, "c": c,
+                             "lhs": str(Fraction(num, den)),
+                             "rhs": str(Fraction(rnum, rden))},
+                        )
+                    checked += 1
+    return checked
+
+
+def sweep_cor35(max_km: int = 2) -> int:
+    """The mod-(k+1) identity for k, m <= max_km and every s."""
+    checked = 0
+    for k in range(1, check_size(max_km) + 1):
+        for m in range(1, max_km + 1):
+            for s in range(k * m + 1):
+                left, right, count = verify_cor35(k, m, s)
+                if not (left == right == count):
+                    raise VerificationError(
+                        "mod-(k+1) identity fails",
+                        {"k": k, "m": m, "s": s, "left": str(left),
+                         "right": str(right), "count": count},
+                    )
+                checked += 1
+    return checked
+
+
+def sweep_balanced() -> int:
+    """The balanced transformation on every (u, v) profile with k <= 2 and
+    entries <= 3, at the profile's least n and every s.  Each profile builds
+    its τ-word, the alpha/beta form of its tops and that form's polynomial
+    once; at each s both sides, integer pairs (num, den), must satisfy
+    num == count * den, count the polynomial's coefficient of x^s."""
+    checked = 0
+    for k in (1, 2):
+        for u in combinations_with_replacement(range(4), k):
+            for v in product(range(1, 4), repeat=k):
+                profile = UVProfile(u, v)
+                n = profile.min_n()
+                _, members = tau_sequence(profile, n)
+                counts = closed_forms.permutation_form(n, members, ALL).polynomial()
+                for s in range(n + 1):
+                    left, right = _balanced_sides(profile, n, s)
+                    count = counts.coeff(s)
+                    if left[0] != count * left[1] or right[0] != count * right[1]:
+                        raise VerificationError(
+                            "balanced transformation fails",
+                            {"u": list(profile.u), "v": list(profile.v), "n": n,
+                             "s": s, "left": str(Fraction(*left)),
+                             "right": str(Fraction(*right)), "count": count},
+                        )
+                    checked += 1
+    return checked
+
+
+def sweep_hypergeom(max_param: int = 5) -> int:
+    """Summation formula grid, the mod-(k+1) identity, and balanced profiles."""
+    return sweep_pfaff(max_param) + sweep_cor35(2) + sweep_balanced()

@@ -11,7 +11,7 @@ two-variable class) specialization of one variable.
 from __future__ import annotations
 
 from itertools import chain, starmap
-from math import comb, factorial, perm, prod
+from math import comb, perm
 
 __all__ = ["IntPolynomial", "BivarPolynomial", "poch", "binom", "multinomial"]
 
@@ -44,8 +44,13 @@ def binom(p: int, q: int) -> int:
 
 
 def multinomial(parts) -> int:
-    parts = list(parts)
-    return factorial(sum(parts)) // prod(map(factorial, parts))
+    """(ρ_1 + … + ρ_k)! / (ρ_1! … ρ_k!), as the running product of the
+    binomials C(ρ_1 + … + ρ_i, ρ_i)."""
+    total, count = 0, 1
+    for part in parts:
+        total += part
+        count *= comb(total, part)
+    return count
 
 
 class _Sparse:

@@ -16,23 +16,19 @@ FOATA_CHUNK at a time, and reads the bridge's excedence and descent counts
 from per-query tables.
 The closed-form sweeps build two ``ClosedForm`` tuples per (X, Y) pair and
 key each class's coefficient lists by them.
-The Pfaff and balanced sweeps take each side, a series or the Pfaff product
-of Pochhammers, as the unreduced integer pair (numerator, denominator) of
-``hypergeom`` and compare by cross-multiplication, building a Fraction only
-for a failure record; the balanced sweep builds each profile's τ-word,
-closed form and polynomial once, for all s.
+The hypergeometric suite is ``hypergeom.sweep_hypergeom``, free of numpy.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
-from itertools import combinations_with_replacement, islice, permutations, product
+from itertools import islice, permutations
 from math import factorial
 
 import numpy as np
 
-from . import closed_forms, configurations, hypergeom, rook, stats, words
+from . import configurations, rook, stats, words
+from .hypergeom import sweep_hypergeom
 from .perms import InputError, VerificationError, check_size
 from .sets import ALL, explicit_set
 from .stats import DescentQuery
@@ -44,9 +40,6 @@ __all__ = [
     "sweep_words",
     "sweep_rook",
     "sweep_foata",
-    "sweep_pfaff",
-    "sweep_cor35",
-    "sweep_balanced",
     "sweep_hypergeom",
     "SUITES",
     "run_suite",
@@ -146,6 +139,7 @@ def _sweep_closed_forms(message: str, names: tuple[str, str], classes) -> int:
 def sweep_formulas(max_n: int) -> int:
     """Both closed formulas against brute force, all (X, Y) pairs, all s:
     S_n is the word class 1^n."""
+    check_size(max_n)
     return _sweep_closed_forms(
         "closed formulas disagree with brute force",
         ("formula_alpha_beta", "formula_beta_beta"),
@@ -171,7 +165,7 @@ def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
     image's image may be an equal copy, since the intern table is bounded."""
     image_of, same = configurations._image, configurations._same
     checked = 0
-    for n, xset, yset in _random_pairs(max_n, pairs, seed):
+    for n, xset, yset in _random_pairs(check_size(max_n), pairs, seed):
         brute = stats.brute_poly(n, DescentQuery(xset, yset))
 
         def case(flavor, s, **stage):
@@ -248,6 +242,7 @@ def _compositions(n: int):
 
 def sweep_words(max_n: int) -> int:
     """Both word formulas against enumeration, all compositions and pairs."""
+    check_size(max_n)
     return _sweep_closed_forms(
         "word formulas disagree with enumeration",
         ("word_formula_1", "word_formula_2"),
@@ -259,7 +254,7 @@ def sweep_words(max_n: int) -> int:
 def sweep_rook(max_n: int, pairs: int = 100, seed: int = 0) -> int:
     """Hit numbers against brute force, plus the distinct-rows reduction."""
     checked = 0
-    for n, xset, yset in _random_pairs(max_n, pairs, seed):
+    for n, xset, yset in _random_pairs(check_size(max_n), pairs, seed):
         case = {"n": n, "tops": str(xset), "bottoms": str(yset)}
         query = DescentQuery(xset, yset)
         brute = stats.brute_poly(n, query)
@@ -342,7 +337,7 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
     """
     rng = random.Random(seed)
     checked = 0
-    for n in range(1, max_n + 1):
+    for n in range(1, check_size(max_n) + 1):
         tests = [
             DescentQuery(_random_subset(n, rng), _random_subset(n, rng),
                          _random_subset(n, rng))
@@ -367,80 +362,6 @@ def sweep_foata(max_n: int, queries: int = 20, seed: int = 0) -> int:
             _check_bridge(omegas, sigmas, tests, tables)
             checked += rows * queries
     return checked
-
-
-def sweep_pfaff(max_param: int = 5) -> int:
-    """The Pfaff-Saalschutz formula for integers a, b in [-max_param, 0],
-    n in [0, max_param] and c in [-2 max_param, max_param], if well posed."""
-    checked = 0
-    for a in range(-max_param, 1):
-        for b in range(-max_param, 1):
-            for n in range(max_param + 1):
-                for c in range(-2 * max_param, max_param + 1):
-                    try:  # a case needs both sides; the cheap one goes first
-                        rnum, rden = hypergeom._pfaff_rhs_pair(n, a, b, c)
-                        num, den = hypergeom._pfaff_lhs_pair(n, a, b, c)
-                    except hypergeom.IllPosedSeriesError:
-                        continue
-                    if num * rden != rnum * den:
-                        raise VerificationError(
-                            "summation formula fails",
-                            {"n": n, "a": a, "b": b, "c": c,
-                             "lhs": str(Fraction(num, den)),
-                             "rhs": str(Fraction(rnum, rden))},
-                        )
-                    checked += 1
-    return checked
-
-
-def sweep_cor35(max_km: int = 2) -> int:
-    """The mod-(k+1) identity for k, m <= max_km and every s."""
-    checked = 0
-    for k in range(1, max_km + 1):
-        for m in range(1, max_km + 1):
-            for s in range(k * m + 1):
-                left, right, count = hypergeom.verify_cor35(k, m, s)
-                if not (left == right == count):
-                    raise VerificationError(
-                        "mod-(k+1) identity fails",
-                        {"k": k, "m": m, "s": s, "left": str(left),
-                         "right": str(right), "count": count},
-                    )
-                checked += 1
-    return checked
-
-
-def sweep_balanced() -> int:
-    """The balanced transformation on every (u, v) profile with k <= 2 and
-    entries <= 3, at the profile's least n and every s.  Each profile builds
-    its τ-word, the alpha/beta form of its tops and that form's polynomial
-    once; at each s both sides, integer pairs (num, den), must satisfy
-    num == count * den, count the polynomial's coefficient of x^s."""
-    checked = 0
-    for k in (1, 2):
-        for u in combinations_with_replacement(range(4), k):
-            for v in product(range(1, 4), repeat=k):
-                profile = hypergeom.UVProfile(u, v)
-                n = profile.min_n()
-                _, members = hypergeom.tau_sequence(profile, n)
-                counts = closed_forms.permutation_form(n, members, ALL).polynomial()
-                for s in range(n + 1):
-                    left, right = hypergeom._balanced_sides(profile, n, s)
-                    count = counts.coeff(s)
-                    if left[0] != count * left[1] or right[0] != count * right[1]:
-                        raise VerificationError(
-                            "balanced transformation fails",
-                            {"u": list(profile.u), "v": list(profile.v), "n": n,
-                             "s": s, "left": str(Fraction(*left)),
-                             "right": str(Fraction(*right)), "count": count},
-                        )
-                    checked += 1
-    return checked
-
-
-def sweep_hypergeom(max_param: int = 5) -> int:
-    """Summation formula grid, the mod-(k+1) identity, and balanced profiles."""
-    return sweep_pfaff(max_param) + sweep_cor35(2) + sweep_balanced()
 
 
 SUITES = {

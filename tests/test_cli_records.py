@@ -88,12 +88,12 @@ class TestHypergeomSuites:
             code, out, _ = run(capsys, *argv)
             assert code == EXIT_OK
             record = json.loads(out)
-            assert record["result"]["cases_checked"] == verify.sweep_balanced()
+            assert record["result"]["cases_checked"] == hypergeom.sweep_balanced()
             assert record["inputs"] == {"suite": "balanced", "max": bound}
 
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_pfaff_and_cor35_run_the_verify_sweeps(self, capsys, bound):
-        sweeps = {"pfaff": verify.sweep_pfaff, "cor35": verify.sweep_cor35}
+        sweeps = {"pfaff": hypergeom.sweep_pfaff, "cor35": hypergeom.sweep_cor35}
         for suite, sweep in sweeps.items():
             argv = ["hypergeom", "--suite", suite, "--max", str(bound)]
             code, out, _ = run(capsys, *argv)
@@ -102,8 +102,8 @@ class TestHypergeomSuites:
 
     @pytest.mark.parametrize("bound, total", [(2, 998), (3, 1325), (5, 3338)])
     def test_sweep_hypergeom_is_the_three_parts(self, bound, total):
-        pfaff, cor35 = verify.sweep_pfaff(bound), verify.sweep_cor35(2)
-        parts = pfaff + cor35 + verify.sweep_balanced()
+        pfaff, cor35 = hypergeom.sweep_pfaff(bound), hypergeom.sweep_cor35(2)
+        parts = pfaff + cor35 + hypergeom.sweep_balanced()
         assert verify.sweep_hypergeom(bound) == parts == total
 
 
@@ -167,7 +167,7 @@ def test_internal_value_error_propagates(capsys, monkeypatch):
     monkeypatch.setattr(stats, "recursion_bivar", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["poly", "--n", "4", "--x", "all", "--y", "all", "--method", "recursion"])
-    monkeypatch.setattr(verify, "sweep_cor35", broken)
+    monkeypatch.setattr(hypergeom, "sweep_cor35", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["hypergeom", "--suite", "cor35", "--max", "2"])
     assert capsys.readouterr().out == ""

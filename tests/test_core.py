@@ -1,7 +1,7 @@
 """Sets, permutations, and exact polynomial arithmetic."""
 
 import random
-from math import prod
+from math import factorial, prod
 
 import pytest
 
@@ -140,6 +140,15 @@ class TestScalars:
     def test_multinomial(self):
         assert multinomial((2, 2, 2, 2)) == 2520
         assert multinomial((0, 3)) == 1
+
+    @pytest.mark.parametrize(
+        "parts", [(), (0,), (0, 2, 0), (1,) * 9, (3, 2, 2, 2), (8000, 8000)],
+        ids=lambda parts: str(parts[:4]) + ("…" if len(parts) > 4 else ""),
+    )
+    def test_multinomial_is_the_factorial_quotient(self, parts):
+        quotient = factorial(sum(parts)) // prod(map(factorial, parts))
+        assert multinomial(parts) == quotient
+        assert multinomial(iter(parts)) == quotient  # one pass over any iterable
 
 
 class TestPolynomials:

@@ -82,10 +82,10 @@ def test_numpy_is_imported_at_module_level_only_by_verify(module):
     assert ("numpy" in imports) == (module.name in NUMPY_AT_MODULE_LEVEL)
 
 
-# Every command but hypergeom, verify and brute force, run in one fresh
-# interpreter: none may load numpy, and a brute force over its cap, on S_n
-# or on a word class, exits 3 before it would.  Each brute-force route, run
-# after them, then must.
+# Every command but verify and brute force, run in one fresh interpreter:
+# none may load numpy, and a brute force over its cap, on S_n or on a word
+# class, exits 3 before it would.  Each brute-force route, run after them,
+# then must.
 NUMPY_FREE = [
     ("poly --n 6 --x {2,3,4,6} --y {1,4} --method recursion", 0),
     ("poly --n 6 --x {2,3,4,6} --y {1,4} --method formula1", 0),
@@ -98,6 +98,9 @@ NUMPY_FREE = [
     ("board --n 8 --x {2,3,5,7,8} --y {1,2,4,5,6}", 0),
     ("foata --perm 61437258", 0),
     ("configs --n 3 --s 2 --r 1 --x {2,3} --y {1,2} --list", 0),
+    ("hypergeom --suite pfaff --max 3", 0),
+    ("hypergeom --suite balanced", 0),
+    ("hypergeom --suite cor35 --max 2", 0),
 ]
 NUMPY_ROUTES = [
     "poly --n 6 --x all --y all --method brute",

@@ -58,6 +58,21 @@ def test_run_suite_rejects_bad_input(name, max_n, message):
 
 
 @pytest.mark.parametrize(
+    "sweep, at_zero",
+    [(verify.sweep_formulas, 0), (verify.sweep_words, 0), (verify.sweep_configs, 0),
+     (verify.sweep_rook, 0), (verify.sweep_foata, 0), (hypergeom.sweep_pfaff, 1),
+     (hypergeom.sweep_cor35, 0), (hypergeom.sweep_hypergeom, 858)],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_every_sweep_refuses_a_negative_bound(sweep, at_zero):
+    """A library caller gets run_suite's InputError; a bound of 0 still
+    answers (the Pfaff grid at 0 is the one case a = b = n = c = 0)."""
+    with pytest.raises(InputError, match=r"^n must be >= 0, got -1$"):
+        sweep(-1)
+    assert sweep(0) == at_zero
+
+
+@pytest.mark.parametrize(
     "sweep, message, payload",
     [
         (verify.sweep_formulas, "closed formulas disagree with brute force",
@@ -354,15 +369,15 @@ def test_foata_sweep_holds_no_list_of_s_n():
 @pytest.mark.parametrize(
     "name, side, sweep, message, items",
     [
-        ("verify_cor35", 0, verify.sweep_cor35, "mod-(k+1) identity fails",
+        ("verify_cor35", 0, hypergeom.sweep_cor35, "mod-(k+1) identity fails",
          [("k", 1), ("m", 1), ("s", 0), ("left", "2"), ("right", "1"), ("count", 1)]),
-        ("_balanced_sides", 1, verify.sweep_balanced,
+        ("_balanced_sides", 1, hypergeom.sweep_balanced,
          "balanced transformation fails",
          [("u", [0]), ("v", [1]), ("n", 2), ("s", 0), ("left", "1"), ("right", "2"),
           ("count", 1)]),
-        ("_pfaff_lhs_pair", None, verify.sweep_pfaff, "summation formula fails",
+        ("_pfaff_lhs_pair", None, hypergeom.sweep_pfaff, "summation formula fails",
          [("n", 0), ("a", -5), ("b", -5), ("c", -10), ("lhs", "2"), ("rhs", "1")]),
-        ("_pfaff_rhs_pair", None, verify.sweep_pfaff, "summation formula fails",
+        ("_pfaff_rhs_pair", None, hypergeom.sweep_pfaff, "summation formula fails",
          [("n", 0), ("a", -5), ("b", -5), ("c", -10), ("lhs", "1"), ("rhs", "2")]),
     ],
     ids=["cor35", "balanced", "pfaff_lhs", "pfaff_rhs"],
@@ -406,7 +421,7 @@ def test_balanced_sweep_builds_one_tau_word_and_form_per_profile(monkeypatch):
     counted(hypergeom, "tau_sequence")
     counted(closed_forms, "permutation_form")
     counted(ClosedForm, "polynomial")
-    assert verify.sweep_balanced() == 844
+    assert hypergeom.sweep_balanced() == 844
     assert calls == {"tau_sequence": 102, "permutation_form": 102, "polynomial": 102}
 
 
@@ -415,7 +430,7 @@ def test_balanced_sweep_reports_a_skewed_count(monkeypatch):
     added to its constant term fails the first profile at s = 0."""
     monkeypatch.setattr(ClosedForm, "polynomial", _plus_one_poly(ClosedForm.polynomial))
     with pytest.raises(VerificationError) as info:
-        verify.sweep_balanced()
+        hypergeom.sweep_balanced()
     assert str(info.value) == "balanced transformation fails"
     assert list(info.value.payload.items()) == [
         ("u", [0]), ("v", [1]), ("n", 2), ("s", 0), ("left", "1"), ("right", "1"),
