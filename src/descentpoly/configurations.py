@@ -24,8 +24,12 @@ of one sequence shares, and a layout object, which configurations with the
 same layout and required gaps share.  Item tuples are built when read, and
 the constructor refuses an illegal array, so every configuration is legal.
 The layout keeps the involution's image of that layout once it is computed,
-and an image shares its source's frame; a sweep can check the involution on
-layouts alone.
+and an image shares its source's frame.  `check_involution` checks the
+involution on every sign layout of S_n, one sequence at a time: each layout
+has an image, the image's image equals it by value (an equal copy will do,
+since the intern table is bounded), off the fixed points one sign changes,
+and the layouts of each r number `staged_count`; it builds a Configuration
+only for a failure record.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import enum
 from functools import lru_cache
 from itertools import combinations
 
-from .perms import InputError, check_size
+from .perms import InputError, VerificationError, check_size
 from .polynomials import binom
 from .sets import IntegerSet
 from .stats import CapExceededError, DescentQuery
@@ -48,6 +52,7 @@ __all__ = [
     "involution",
     "fixed_point_from_seq",
     "staged_count",
+    "check_involution",
     "config_to_str",
     "config_from_str",
 ]
@@ -343,9 +348,8 @@ def _required_mask(seq, flavor: Flavor, tops, bottoms) -> int:
 
 def _minus_count(flavor: Flavor, seq_len_in_tops: int, s: int, r: int) -> int:
     """The number of '-'s; InputError names s or r when it is negative."""
-    for name, value in (("s", s), ("r", r)):
-        if value < 0:
-            raise InputError(f"{name} must be >= 0, got {value}")
+    check_size(s, "s")
+    check_size(r, "r")
     if flavor is Flavor.STANDARD:
         return s - r
     return seq_len_in_tops - s - r
@@ -442,6 +446,52 @@ def staged_count(
     if n_minus < 0:
         return 0
     return form.prefactor * form.weight(r) * binom(form.n + 1, n_minus)
+
+
+def check_involution(n: int, tops: IntegerSet, bottoms: IntegerSet):
+    """Check the involution and `staged_count` on every sign layout of S_n,
+    s and r in 0..n+1 (see the module docstring); a failure raises
+    VerificationError naming the configuration (and its image), or the
+    case of a count.  After each (flavor, s) yield (flavor, s,
+    signed_total, fixed_points, layouts_checked): all but the plus-signed
+    fixed points cancel, so both totals should be the descent count."""
+    image_of, same = _image, _same
+
+    def fail(message, flavor, seq, *layouts):
+        written = [str(_layout_config(seq, lay, flavor, tops, bottoms)) for lay in layouts]
+        raise VerificationError(message, dict(zip(("configuration", "image"), written)))
+
+    for flavor in Flavor:
+        for s in range(n + 2):
+            signed_total = fixed_total = checked = 0
+            for r in range(n + 2):
+                enumerated = 0
+                for seq, layouts in _layouts_by_sequence(flavor, s, r, tops, bottoms, n=n):
+                    for layout in layouts:
+                        image = image_of(layout)
+                        if image is None:
+                            fail("enumerated configuration is illegal", flavor, seq, layout)
+                        back = image_of(image)
+                        if back is not layout and not (back and same(back, layout)):
+                            fail("involution is not self-inverse", flavor, seq,
+                                 layout, image)
+                        if image is layout:
+                            fixed_total += 1
+                        elif abs(image.minus_count - layout.minus_count) != 1:
+                            fail("involution does not reverse sign", flavor, seq,
+                                 layout, image)
+                        signed_total += -1 if layout.minus_count & 1 else 1
+                    enumerated += len(layouts)
+                staged = staged_count(flavor, s, r, tops, bottoms, n=n)
+                if enumerated != staged:
+                    raise VerificationError(
+                        "staged count disagrees with enumeration",
+                        {"flavor": flavor.value, "n": n, "s": s, "r": r,
+                         "tops": str(tops), "bottoms": str(bottoms),
+                         "enumerated": enumerated, "staged": staged},
+                    )
+                checked += enumerated
+            yield flavor, s, signed_total, fixed_total, checked
 
 
 def _written(items) -> str:

@@ -256,7 +256,7 @@ def sweep_pfaff(max_param: int = 5) -> int:
     """The Pfaff-Saalschutz formula for integers a, b in [-max_param, 0],
     n in [0, max_param] and c in [-2 max_param, max_param], if well posed."""
     checked = 0
-    for a in range(-check_size(max_param), 1):
+    for a in range(-check_size(max_param, "max_param"), 1):
         for b in range(-max_param, 1):
             for n in range(max_param + 1):
                 for c in range(-2 * max_param, max_param + 1):
@@ -279,7 +279,7 @@ def sweep_pfaff(max_param: int = 5) -> int:
 def sweep_cor35(max_km: int = 2) -> int:
     """The mod-(k+1) identity for k, m <= max_km and every s."""
     checked = 0
-    for k in range(1, check_size(max_km) + 1):
+    for k in range(1, check_size(max_km, "max_km") + 1):
         for m in range(1, max_km + 1):
             for s in range(k * m + 1):
                 left, right, count = verify_cor35(k, m, s)

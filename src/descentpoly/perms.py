@@ -33,10 +33,10 @@ class VerificationError(AssertionError):
         self.payload = payload
 
 
-def check_size(n: int) -> int:
-    """n itself when it can be the size of S_n; InputError when n < 0."""
+def check_size(n: int, name: str = "n") -> int:
+    """n itself when it can be a size; InputError naming ``name`` when n < 0."""
     if n < 0:
-        raise InputError(f"n must be >= 0, got {n}")
+        raise InputError(f"{name} must be >= 0, got {n}")
     return n
 
 

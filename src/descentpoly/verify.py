@@ -6,8 +6,8 @@ The brute-force side of the big sweeps is vectorized with numpy: descent
 pairs of each permutation (or word) are recorded once as a multiplicity
 matrix, then each tops subset is one matrix product, a doubling over the
 bottoms and one histogram away from the counts under every bottoms subset.
-The configurations sweep walks each class's sign layouts, which the
-involution acts on alone, and builds a Configuration only for a failure.
+The configurations sweep compares the totals of the layout-by-layout
+``configurations.check_involution`` with brute force.
 The closed-form sweeps walk every class R(rho) one way, with
 ``words.enumerate_rearrangements``, S_n as rho = 1^n, so a class past its
 cap of 10^6 sequences raises CapExceededError (from n = 10 for S_n).
@@ -160,74 +160,27 @@ def _random_pairs(max_n: int, pairs: int, seed: int):
 
 
 def sweep_configs(max_n: int, pairs: int = 50, seed: int = 0) -> int:
-    """Involution and counting checks on signed configurations, each visited
-    as its sign layout.  A fixed point's image is that layout object; an
-    image's image may be an equal copy, since the intern table is bounded."""
-    image_of, same = configurations._image, configurations._same
+    """``configurations.check_involution`` on each seeded (n, X, Y) draw,
+    its signed totals and fixed points against brute force, s by s."""
     checked = 0
     for n, xset, yset in _random_pairs(check_size(max_n), pairs, seed):
         brute = stats.brute_poly(n, DescentQuery(xset, yset))
-
-        def case(flavor, s, **stage):
-            """The failing case; a stage r sits between s and the sets."""
-            return {"flavor": flavor.value, "n": n, "s": s, **stage,
+        walk = configurations.check_involution(n, xset, yset)
+        for flavor, s, signed_total, fixed_total, layouts in walk:
+            case = {"flavor": flavor.value, "n": n, "s": s,
                     "tops": str(xset), "bottoms": str(yset)}
-
-        def fail(message, flavor, seq, *layouts):
-            """The configuration (and its image) as config_to_str writes them."""
-            written = [str(configurations._layout_config(seq, lay, flavor, xset, yset))
-                       for lay in layouts]
-            raise VerificationError(message, dict(zip(("configuration", "image"), written)))
-
-        for flavor in configurations.Flavor:
-            for s in range(n + 2):
-                signed_total = 0
-                fixed_total = 0
-                for r in range(n + 2):
-                    enumerated = 0
-                    walk = configurations._layouts_by_sequence(
-                        flavor, s, r, xset, yset, n=n
-                    )
-                    for seq, layouts in walk:
-                        for layout in layouts:
-                            image = image_of(layout)
-                            if image is None:
-                                fail("enumerated configuration is illegal", flavor, seq,
-                                     layout)
-                            back = image_of(image)
-                            if back is not layout and not (back and same(back, layout)):
-                                fail("involution is not self-inverse", flavor, seq,
-                                     layout, image)
-                            if image is layout:
-                                fixed_total += 1
-                            elif abs(image.minus_count - layout.minus_count) != 1:
-                                fail("involution does not reverse sign", flavor, seq,
-                                     layout, image)
-                            signed_total += -1 if layout.minus_count & 1 else 1
-                        enumerated += len(layouts)
-                    staged = configurations.staged_count(
-                        flavor, s, r, xset, yset, n=n
-                    )
-                    if enumerated != staged:
-                        raise VerificationError(
-                            "staged count disagrees with enumeration",
-                            {**case(flavor, s, r=r),
-                             "enumerated": enumerated, "staged": staged},
-                        )
-                    checked += enumerated
-                # everything cancels except the plus-signed fixed points
-                count = brute.coeff(s)
-                if signed_total != count:
-                    raise VerificationError(
-                        "signed configuration sum does not telescope",
-                        {**case(flavor, s),
-                         "signed_total": signed_total, "expected": count},
-                    )
-                if fixed_total != count:
-                    raise VerificationError(
-                        "fixed points do not match the descent count",
-                        {**case(flavor, s), "fixed_points": fixed_total, "brute": count},
-                    )
+            count = brute.coeff(s)
+            if signed_total != count:
+                raise VerificationError(
+                    "signed configuration sum does not telescope",
+                    {**case, "signed_total": signed_total, "expected": count},
+                )
+            if fixed_total != count:
+                raise VerificationError(
+                    "fixed points do not match the descent count",
+                    {**case, "fixed_points": fixed_total, "brute": count},
+                )
+            checked += layouts
     return checked
 
 

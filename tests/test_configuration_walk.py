@@ -1,10 +1,11 @@
 """Configurations walked one sequence at a time, and the letters a
 configuration may hold.
 
-`sweep_configs` checks the involution on each sign layout while it walks
-each class and checks the class's count after.  Its counts, its failure
-record, and the `configs --trace` records are pinned to what they were when
-the sweep still held each class as one list of configurations.
+`check_involution` checks the involution on each sign layout while it walks
+each class and checks the class's count after; `sweep_configs` compares its
+totals with brute force.  The sweep's counts, its failure record, and the
+`configs --trace` records are pinned to what they were when the sweep still
+held each class as one list of configurations.
 """
 
 import hashlib
@@ -12,6 +13,7 @@ import json
 import random
 import re
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -23,13 +25,15 @@ from descentpoly.configurations import (
     MalformedConfigurationError,
     _layouts_by_sequence,
     _required_mask,
+    check_involution,
     config_from_str,
     config_to_str,
     enumerate_configs,
 )
 from descentpoly.perms import InputError
 from descentpoly.sets import ALL, EMPTY, explicit_set
-from descentpoly.verify import VerificationError, sweep_configs
+from descentpoly.stats import CapExceededError
+from descentpoly.verify import VerificationError, _random_pairs, sweep_configs
 
 
 @pytest.mark.parametrize("text", ["0+", "0,3+", "1,,2", ",1,2", "1,2,", "1,+2"])
@@ -185,6 +189,39 @@ def test_broken_involution_reports_the_same_failure(monkeypatch):
         sweep_configs(5, pairs=4, seed=1)
     assert str(err.value) == "involution is not self-inverse"
     assert err.value.payload == {"configuration": "-1-234+", "image": "+1-234+"}
+
+
+def _seeded_sets(n, seed):
+    rng = random.Random(seed)
+    return [explicit_set(x for x in range(1, n + 1) if rng.random() < 0.5)
+            for _ in "xy"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+@pytest.mark.parametrize("seed", range(3))
+def test_check_involution_yields_each_flavor_then_each_s(n, seed):
+    tops, bottoms = _seeded_sets(n, seed)
+    results = list(check_involution(n, tops, bottoms))
+    assert [(flavor, s) for flavor, s, *_ in results] == [
+        (flavor, s) for flavor in Flavor for s in range(n + 2)
+    ]
+    for flavor in Flavor:
+        totals = [(signed, fixed) for f, _, signed, fixed, _ in results if f is flavor]
+        assert all(signed == fixed for signed, fixed in totals)
+        assert sum(fixed for _, fixed in totals) == factorial(n)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_check_involution_counts_what_the_sweep_counts(seed):
+    [(n, tops, bottoms)] = _random_pairs(5, 1, seed)
+    layouts = sum(checked for *_, checked in check_involution(n, tops, bottoms))
+    assert layouts == sweep_configs(5, pairs=1, seed=seed) > 0
+
+
+@pytest.mark.parametrize("n, error", [(-1, InputError), (9, CapExceededError)])
+def test_check_involution_refuses_a_size_the_walk_refuses(n, error):
+    with pytest.raises(error):
+        next(check_involution(n, ALL, ALL))
 
 
 # (x, y) of the traced classes of S_3; every s and r of 0 and 1

@@ -1,7 +1,8 @@
 """Every name in a module's __all__ exists, so a deletion cannot leave a
 dangling export behind, and every exported name is read somewhere that is
 not a unit test, so an export that only tests call is named here with its
-reason."""
+reason.  A module that reads another module's private name is named here
+with its reason too."""
 
 import ast
 import importlib
@@ -37,6 +38,18 @@ TEST_ONLY = {
     "all_chi_factors": "the factor tuples of the paper's map chi",
 }
 
+# Private names that one package module reads from another, as (reader,
+# owner, name), each with the reason the owner does not export it.
+CROSS_PRIVATE = {
+    ("cli", "stats", "_q_lists"):
+        "q-poly prints the dense lists directly; building its payload from "
+        "q_recursion was slower (n = 40, mod:4:0,2)",
+    ("words", "stats", "_class_counts"):
+        "the word-class face of the one blocked walk",
+    ("configurations", "words", "_check_rho"):
+        "a configuration class R(rho) refuses rho by the word classes' rule",
+}
+
 
 def _references(source: str):
     """Name ids, attribute names and from-import names in the source."""
@@ -60,6 +73,32 @@ def _corpus() -> set:
     return {name for source in sources for name in _references(source)}
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _cross_private_reads() -> set:
+    """(reader, owner, name) for each ``from .owner import _name`` and each
+    ``owner._name`` where ``owner`` is bound by ``from . import owner``, in
+    the package's modules; dunder names do not count."""
+    reads = set()
+    for path in (ROOT / "src" / "descentpoly").glob("*.py"):
+        tree = ast.parse(path.read_text())
+        siblings = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    elif _private(alias.name):
+                        reads.add((path.stem, node.module, alias.name))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and _private(node.attr)
+                    and isinstance(node.value, ast.Name) and node.value.id in siblings):
+                reads.add((path.stem, siblings[node.value.id], node.attr))
+    return reads
+
+
 def _exported() -> set:
     return {
         name
@@ -80,3 +119,9 @@ def test_every_export_is_read_or_allowlisted():
     assert sorted(exported - corpus - TEST_ONLY.keys()) == []
     assert sorted(TEST_ONLY.keys() & corpus) == []
     assert sorted(TEST_ONLY.keys() - exported) == []
+
+
+def test_every_cross_module_private_read_is_allowlisted():
+    reads = _cross_private_reads()
+    assert sorted(reads - CROSS_PRIVATE.keys()) == []
+    assert sorted(CROSS_PRIVATE.keys() - reads) == []

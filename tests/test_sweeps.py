@@ -58,16 +58,18 @@ def test_run_suite_rejects_bad_input(name, max_n, message):
 
 
 @pytest.mark.parametrize(
-    "sweep, at_zero",
-    [(verify.sweep_formulas, 0), (verify.sweep_words, 0), (verify.sweep_configs, 0),
-     (verify.sweep_rook, 0), (verify.sweep_foata, 0), (hypergeom.sweep_pfaff, 1),
-     (hypergeom.sweep_cor35, 0), (hypergeom.sweep_hypergeom, 858)],
+    "sweep, at_zero, bound",
+    [(verify.sweep_formulas, 0, "n"), (verify.sweep_words, 0, "n"),
+     (verify.sweep_configs, 0, "n"), (verify.sweep_rook, 0, "n"),
+     (verify.sweep_foata, 0, "n"), (hypergeom.sweep_pfaff, 1, "max_param"),
+     (hypergeom.sweep_cor35, 0, "max_km"), (hypergeom.sweep_hypergeom, 858, "max_param")],
     ids=lambda value: getattr(value, "__name__", str(value)),
 )
-def test_every_sweep_refuses_a_negative_bound(sweep, at_zero):
-    """A library caller gets run_suite's InputError; a bound of 0 still
-    answers (the Pfaff grid at 0 is the one case a = b = n = c = 0)."""
-    with pytest.raises(InputError, match=r"^n must be >= 0, got -1$"):
+def test_every_sweep_refuses_a_negative_bound(sweep, at_zero, bound):
+    """A library caller gets run_suite's InputError, naming the bound where
+    it is not the n of S_n; a bound of 0 still answers (the Pfaff grid at 0
+    is the one case a = b = n = c = 0)."""
+    with pytest.raises(InputError, match=rf"^{bound} must be >= 0, got -1$"):
         sweep(-1)
     assert sweep(0) == at_zero
 
