@@ -1,4 +1,4 @@
-"""Signed configurations and the sign-reversing involution.
+r"""Signed configurations and the sign-reversing involution.
 
 A configuration is an array mixing the letters of a sequence (a permutation
 of 1..n, or a word from a rearrangement class) with '+' and '-' signs.
@@ -14,6 +14,11 @@ Which arrays are legal depends on the flavor:
 The involution flips the first sign (scanning left to right) whose flip
 keeps the array legal; arrays with no flippable sign are fixed points and
 correspond to sequences with the prescribed number of descents.
+
+As text (`config_to_str`, `config_from_str`), an array reads like
+`5+2-+46+13-`.  Letters separate gaps, and a gap is `-?\+*`.  A letter is
+one ASCII digit unless the text has a comma; then runs of digits are
+letters, and each comma sits between two digits, as in `11,3+2-`.
 
 Both rules act gap by gap: gap g (0..len(sequence)) holds the signs between
 letter g and letter g + 1.  Since a '-' may only open its gap, a legal array
@@ -35,14 +40,15 @@ only for a failure record.
 from __future__ import annotations
 
 import enum
+import re
 from functools import lru_cache
 from itertools import combinations
 
-from .perms import InputError, VerificationError, check_size
+from .perms import InputError, VerificationError, check_composition, check_size
 from .polynomials import binom
 from .sets import IntegerSet
 from .stats import CapExceededError, DescentQuery
-from .words import _check_rho, enumerate_rearrangements, word_form
+from .words import enumerate_rearrangements, word_form
 
 __all__ = [
     "Flavor",
@@ -129,32 +135,20 @@ class Configuration:
         seq = tuple(it for it in items if isinstance(it, int))
         if seq and min(seq) < 1:
             raise InputError(f"bad letter {min(seq)!r} in configuration")
-        plus = [0] * (len(seq) + 1)
-        minus_mask = 0
-        gap = 0
-        opens_gap = True
         for it in items:
-            if isinstance(it, int):
-                gap += 1
-                opens_gap = True
-                continue
-            if it == PLUS:
-                plus[gap] += 1
-            elif it != MINUS:
+            if not isinstance(it, int) and it not in (PLUS, MINUS):
                 raise InputError(f"bad item {it!r} in configuration")
-            elif opens_gap and minus_mask is not None:
-                minus_mask |= 1 << gap
-            else:
-                minus_mask = None
-            opens_gap = False
-        if minus_mask is not None:
-            # checked on the counts, so a refused array interns no layout
-            required = _required_mask(seq, flavor, tops, bottoms)
-            unmet = any(not count and required >> g & 1 for g, count in enumerate(plus))
-        if minus_mask is None or unmet:
+        gaps = "".join(" " if isinstance(it, int) else it for it in items).split(" ")
+        if any(MINUS in signs[1:] for signs in gaps):
             raise MalformedConfigurationError(_written(items))
+        # checked on the counts, so a refused array interns no layout
+        plus = tuple(signs.count(PLUS) for signs in gaps)
+        required = _required_mask(seq, flavor, tops, bottoms)
+        if any(not count and required >> g & 1 for g, count in enumerate(plus)):
+            raise MalformedConfigurationError(_written(items))
+        minus_mask = sum(1 << g for g, signs in enumerate(gaps) if signs.startswith(MINUS))
         self._frame = (seq, flavor, tops, bottoms)
-        self._layout = _layout(minus_mask, tuple(plus), required)
+        self._layout = _layout(minus_mask, plus, required)
 
     @property
     def sequence(self) -> tuple:
@@ -359,7 +353,7 @@ def _composition(n: int | None, rho) -> tuple[int, ...]:
     """The word class to walk: rho, or 1^n for S_n."""
     if (n is None) == (rho is None):
         raise InputError("pass exactly one of n and rho")
-    return (1,) * check_size(n) if rho is None else _check_rho(rho)
+    return (1,) * check_size(n) if rho is None else check_composition(rho)
 
 
 def enumerate_configs(
@@ -496,24 +490,17 @@ def check_involution(n: int, tops: IntegerSet, bottoms: IntegerSet):
 
 def _written(items) -> str:
     """The items as config_to_str writes them, without its round-trip check."""
-    wide = any(isinstance(it, int) and it > 9 for it in items)
-    out = []
-    prev_was_letter = False
-    for it in items:
-        if isinstance(it, int):
-            if wide and prev_was_letter:
-                out.append(",")
-            out.append(str(it))
-            prev_was_letter = True
-        else:
-            out.append(it)
-            prev_was_letter = False
-    return "".join(out)
+    comma = "," if any(isinstance(it, int) and it > 9 for it in items) else ""
+    return "".join(
+        (comma if isinstance(prev, int) and isinstance(it, int) else "") + str(it)
+        for prev, it in zip(("", *items), items)
+    )
 
 
 def config_to_str(config: Configuration) -> str:
-    """Serialize like `5+2-+46+13-`; letters above 9 force comma-separated
-    letters, e.g. `11,3+2-`.  Only a comma between two adjacent letters
+    """Write a configuration in the text grammar of the module docstring,
+    like `5+2-+46+13-`; a letter above 9 makes it write comma-separated
+    letters, like `11,3+2-`.  Only a comma between two adjacent letters
     marks that format, so a letter above 9 with no two letters adjacent
     raises InputError: `(11, '+', 3)` would read back as 1, 1, 3."""
     text = _written(config.items)
@@ -528,40 +515,21 @@ def config_to_str(config: Configuration) -> str:
 def config_from_str(
     text: str, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet
 ) -> Configuration:
-    """Inverse of config_to_str: digits 0-9 are single letters unless the
-    string contains commas, in which case runs of digits are whole letters
-    and each comma sits between two of them.  So a string without a comma
-    has no letter above 9, and config_to_str refuses to write one that
-    should.  A letter 0, an empty field or any other character raises
-    InputError; whether the letters form a sequence of the class (1..n for
-    S_n) is the caller's check."""
-    wide = "," in text
-    items: list = []
-    num = ""
-
-    def flush():
-        nonlocal num
-        if num:
-            items.append(int(num))
-            num = ""
-
-    for i, ch in enumerate(text):
-        if "0" <= ch <= "9":
-            num += ch
-            if not wide:
-                flush()
-        elif ch == ",":
-            if not num or not "0" <= text[i + 1 : i + 2] <= "9":
-                raise InputError(
-                    f"empty letter next to ',' at {i} in configuration {text!r}"
-                )
-            flush()
-        elif ch in (PLUS, MINUS):
-            flush()
-            items.append(ch)
-        else:
-            raise InputError(f"bad character {ch!r} in configuration")
-    flush()
+    """Inverse of config_to_str: read text in the grammar of the module
+    docstring.  The first fault in reading order raises InputError: a
+    character other than an ASCII digit, a sign or a comma, or a comma
+    without a digit on each side.  A letter 0 raises InputError too, and
+    an illegal array MalformedConfigurationError naming the text; whether
+    the letters form a sequence of the class (1..n for S_n) is the
+    caller's check."""
+    fault = re.search(r"(?<![0-9]),|,(?![0-9])|[^0-9,+-]", text)
+    if fault and fault.group() == ",":
+        at = fault.start()
+        raise InputError(f"empty letter next to ',' at {at} in configuration {text!r}")
+    elif fault:
+        raise InputError(f"bad character {fault.group()!r} in configuration")
+    tokens = re.findall(r"[0-9]+|[+-]", text) if "," in text else text
+    items = [tok if tok in (PLUS, MINUS) else int(tok) for tok in tokens]
     try:
         return Configuration(items, flavor, tops, bottoms)
     except MalformedConfigurationError:

@@ -9,6 +9,7 @@ __all__ = [
     "VerificationError",
     "check_size",
     "check_permutation",
+    "check_composition",
     "cycles",
     "from_cycles",
     "all_permutations",
@@ -54,6 +55,14 @@ def check_permutation(values) -> tuple[int, ...]:
     if sorted(p) != list(range(1, len(p) + 1)):
         raise InputError(f"not a permutation of 1..{len(p)}: {p}")
     return p
+
+
+def check_composition(rho) -> tuple[int, ...]:
+    """rho as a tuple when it can be a composition; InputError otherwise."""
+    rho = tuple(rho)
+    if min(rho, default=0) < 0:
+        raise InputError(f"composition parts must be >= 0: {rho}")
+    return rho
 
 
 def cycles(p: tuple[int, ...]) -> list[list[int]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import permutations, product
 
 from .closed_forms import ClosedForm
-from .perms import InputError
+from .perms import InputError, check_composition
 from .polynomials import IntPolynomial, multinomial
 from .sets import IntegerSet
 from .stats import CapExceededError, DescentQuery, _class_counts
@@ -31,17 +31,10 @@ __all__ = [
 DEFAULT_WORD_CAP = 10**6
 
 
-def _check_rho(rho) -> tuple[int, ...]:
-    rho = tuple(rho)
-    if min(rho, default=0) < 0:
-        raise InputError(f"composition parts must be >= 0: {rho}")
-    return rho
-
-
 def _check_cap(rho, limit: int) -> tuple[int, ...]:
     """rho checked, when R(rho) has at most ``limit`` words;
     CapExceededError otherwise."""
-    rho = _check_rho(rho)
+    rho = check_composition(rho)
     count = multinomial(rho)
     if count > limit:
         raise CapExceededError(f"|R({rho})| = {count} exceeds the cap {limit}")
@@ -86,7 +79,7 @@ def word_form(
     rho, tops: IntegerSet, bottoms: IntegerSet, second: bool = False
 ) -> ClosedForm:
     """The word analogue of closed_forms.permutation_form."""
-    return ClosedForm.from_sets(_check_rho(rho), tops, bottoms, second)
+    return ClosedForm.from_sets(check_composition(rho), tops, bottoms, second)
 
 
 def word_formula_1(rho, s: int, tops: IntegerSet, bottoms: IntegerSet) -> int:
@@ -142,4 +135,4 @@ def standardize(word) -> tuple[int, ...]:
 
 def all_chi_factors(rho):
     """Iterator over the cartesian product of S_{rho_1} x ... x S_{rho_m}."""
-    return product(*(permutations(range(1, p + 1)) for p in _check_rho(rho)))
+    return product(*(permutations(range(1, p + 1)) for p in check_composition(rho)))

@@ -140,3 +140,46 @@ def test_bad_item_raises_input_error_naming_it(item):
     with pytest.raises(InputError) as info:
         Configuration((1, item, 2), Flavor.STANDARD, ALL, ALL)
     assert str(info.value) == f"bad item {item!r} in configuration"
+
+
+_BAD = MalformedConfigurationError
+
+
+@pytest.mark.parametrize(
+    "given, error, message",
+    [
+        ("1a2", InputError, "bad character 'a' in configuration"),
+        ("1²2", InputError, "bad character '²' in configuration"),
+        ("1 2", InputError, "bad character ' ' in configuration"),
+        (",12", InputError, "empty letter next to ',' at 0 in configuration ',12'"),
+        ("12,", InputError, "empty letter next to ',' at 2 in configuration '12,'"),
+        ("1,,2", InputError, "empty letter next to ',' at 1 in configuration '1,,2'"),
+        ("1,+2", InputError, "empty letter next to ',' at 1 in configuration '1,+2'"),
+        ("1+,2", InputError, "empty letter next to ',' at 2 in configuration '1+,2'"),
+        ("0+", InputError, "bad letter 0 in configuration"),
+        ("0,3+", InputError, "bad letter 0 in configuration"),
+        ("1--2", _BAD, "1--2"),
+        ("-+-12", _BAD, "-+-12"),
+        ("1+-2", _BAD, "1+-2"),
+        ("21", _BAD, "21"),
+        ("2,1", _BAD, "2,1"),
+        ("12,1-", _BAD, "12,1-"),
+        ((2, "++", 1), InputError, "bad item '++' in configuration"),
+        ((12, 1, "-"), _BAD, "12,1-"),
+        # two faults: the first in reading order is named
+        ("1,,a", InputError, "empty letter next to ',' at 1 in configuration '1,,a'"),
+        ("a,,1", InputError, "bad character 'a' in configuration"),
+        ("0+a", InputError, "bad character 'a' in configuration"),
+    ],
+)
+def test_refusals_name_the_first_fault(given, error, message):
+    """Text goes through config_from_str and a tuple through the constructor,
+    on S_n's sets; the error is exactly `error`, with exactly `message`."""
+    for flavor in [Flavor.STANDARD] if error is _BAD else Flavor:
+        with pytest.raises(InputError) as info:
+            if isinstance(given, str):
+                config_from_str(given, flavor, ALL, ALL)
+            else:
+                Configuration(given, flavor, ALL, ALL)
+        assert type(info.value) is error
+        assert str(info.value) == message

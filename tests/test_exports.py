@@ -46,8 +46,6 @@ CROSS_PRIVATE = {
         "q_recursion was slower (n = 40, mod:4:0,2)",
     ("words", "stats", "_class_counts"):
         "the word-class face of the one blocked walk",
-    ("configurations", "words", "_check_rho"):
-        "a configuration class R(rho) refuses rho by the word classes' rule",
 }
 
 
