@@ -21,13 +21,13 @@ import functools
 import json
 import sys
 import time
-from math import factorial
 from typing import NamedTuple
 
-from . import configurations, rook, stats, words
+from . import configurations, rook, stats
 from .perms import InputError, VerificationError, check_permutation
 from .perms import format_permutation, parse_int, parse_permutation
 from .polynomials import IntPolynomial
+from .routes import ROUTES
 from .sets import ALL, parse_set
 from .stats import CapExceededError, DescentQuery
 
@@ -87,14 +87,14 @@ class PolyCommand(NamedTuple):
     default: str
 
 
-# The polynomial commands.  S_n is the word class 1ⁿ, so one handler serves
-# all three; only the methods that `xyz` offers take a difference set.
+# The polynomial commands, their methods drawn from ROUTES.  S_n is the word
+# class 1ⁿ, so one handler serves all three; only `xyz` takes a difference set.
 POLY_COMMANDS = {
-    "poly": PolyCommand("descent polynomial of S_n",
-                        ("brute", "recursion", "formula1", "formula2", "rook"), "recursion"),
-    "xyz": PolyCommand("alias for poly with a difference set", ("brute", "rook"), "rook"),
+    "poly": PolyCommand("descent polynomial of S_n", tuple(ROUTES), "recursion"),
+    "xyz": PolyCommand("alias for poly with a difference set",
+                       tuple(m for m in ROUTES if ROUTES[m].diffs), "rook"),
     "word-poly": PolyCommand("descent polynomial of a word class",
-                             ("brute", "formula1", "formula2"), "formula1"),
+                             tuple(m for m in ROUTES if ROUTES[m].words), "formula1"),
 }
 
 
@@ -113,24 +113,11 @@ def cmd_poly(args, inputs: dict) -> dict:
         rho = (1,) * args.n
         inputs["n"] = args.n
     query = _query(args, inputs)
-    method = args.method
-    if query.diffs is not ALL and method not in POLY_COMMANDS["xyz"].methods:
-        raise InputError(f"method {method} does not support --z")
-    route = {}
-    if method in ("formula1", "formula2"):
-        form = words.word_form(rho, query.tops, query.bottoms, method == "formula2")
-        poly = form.polynomial()
-    elif method == "recursion":
-        poly = stats.recursion_bivar(args.n, query.tops, query.bottoms).specialize_second(1)
-    elif method == "rook":
-        poly, route = rook.hits_with_route(args.n, query)
-    elif "rho" in args:
-        # at most min(k!, 10⁶) words; k is clipped first, since 10! > 10⁶
-        limit = min(factorial(min(args.max_brute, 10)), words.DEFAULT_WORD_CAP)
-        poly = words.word_brute_poly(rho, query.tops, query.bottoms, limit)
-    else:
-        poly = stats.brute_poly(args.n, query, limit=args.max_brute)
-    return {"coefficients": _poly_payload(poly), **route}
+    route = ROUTES[args.method]
+    if query.diffs is not ALL and not route.diffs:
+        raise InputError(f"method {args.method} does not support --z")
+    poly, facts = route.run(getattr(args, "n", None), rho, query, args.max_brute)
+    return {"coefficients": _poly_payload(poly), **facts}
 
 
 def cmd_board(args, inputs: dict) -> dict:
@@ -187,7 +174,7 @@ def cmd_qpoly(args, inputs: dict) -> dict:
     inputs.update(n=args.n, x=str(tops))
     payload = {
         f"{eq},{s}": str(v)
-        for s, p in enumerate(stats._q_lists(args.n, tops))
+        for s, p in enumerate(stats.q_lists(args.n, tops))
         for eq, v in enumerate(p)
         if v
     }

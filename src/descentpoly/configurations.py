@@ -132,11 +132,11 @@ class Configuration:
 
     def __init__(self, items, flavor: Flavor, tops: IntegerSet, bottoms: IntegerSet):
         items = tuple(items)
-        seq = tuple(it for it in items if isinstance(it, int))
+        seq = tuple(it for it in items if type(it) is int)  # a bool is no letter
         if seq and min(seq) < 1:
             raise InputError(f"bad letter {min(seq)!r} in configuration")
         for it in items:
-            if not isinstance(it, int) and it not in (PLUS, MINUS):
+            if type(it) is not int and it not in (PLUS, MINUS):
                 raise InputError(f"bad item {it!r} in configuration")
         gaps = "".join(" " if isinstance(it, int) else it for it in items).split(" ")
         if any(MINUS in signs[1:] for signs in gaps):

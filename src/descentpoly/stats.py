@@ -31,6 +31,7 @@ __all__ = [
     "recursion_bivar",
     "coefficient_recursion_bivar",
     "q_recursion",
+    "q_lists",
     "complement_reverse",
     "DEFAULT_BRUTE_CAP",
 ]
@@ -286,7 +287,7 @@ def _cum(p: list[int], off: int, start: int, h: int):
     return chain(repeat(0, zeros), part, repeat(p[-1], h - zeros - len(part)))
 
 
-def _q_lists(n: int, tops: IntegerSet) -> list[list[int]]:
+def q_lists(n: int, tops: IntegerSet) -> list[list[int]]:
     """c[s], the coefficient of x^s, as a dense list of q-coefficients.
 
     Inserting m+1 into the permutations of [m], the new x^s is
@@ -350,13 +351,13 @@ def _q_lists(n: int, tops: IntegerSet) -> list[list[int]]:
 
 def q_recursion(n: int, tops: IntegerSet) -> BivarPolynomial:
     """q-refined insertion recursion, keys (q-exponent, x-exponent), from
-    the dense lists of _q_lists.
+    the dense lists of q_lists.
 
     Specializing q = 1 collapses every q-integer to its length and recovers
     the single-variable descent polynomial for the given tops set.
     """
     return BivarPolynomial(
-        {(eq, s): v for s, p in enumerate(_q_lists(n, tops)) for eq, v in enumerate(p)}
+        {(eq, s): v for s, p in enumerate(q_lists(n, tops)) for eq, v in enumerate(p)}
     )
 
 

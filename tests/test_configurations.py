@@ -165,6 +165,7 @@ _BAD = MalformedConfigurationError
         ("2,1", _BAD, "2,1"),
         ("12,1-", _BAD, "12,1-"),
         ((2, "++", 1), InputError, "bad item '++' in configuration"),
+        ((True, "+", 2), InputError, "bad item True in configuration"),
         ((12, 1, "-"), _BAD, "12,1-"),
         # two faults: the first in reading order is named
         ("1,,a", InputError, "empty letter next to ',' at 1 in configuration '1,,a'"),

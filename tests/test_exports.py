@@ -41,9 +41,6 @@ TEST_ONLY = {
 # Private names that one package module reads from another, as (reader,
 # owner, name), each with the reason the owner does not export it.
 CROSS_PRIVATE = {
-    ("cli", "stats", "_q_lists"):
-        "q-poly prints the dense lists directly; building its payload from "
-        "q_recursion was slower (n = 40, mod:4:0,2)",
     ("words", "stats", "_class_counts"):
         "the word-class face of the one blocked walk",
 }

@@ -11,7 +11,7 @@ from descentpoly.cli import EXIT_OK, main
 from descentpoly.perms import check_size
 from descentpoly.polynomials import BivarPolynomial, IntPolynomial
 from descentpoly.sets import explicit_set, parse_set
-from descentpoly.stats import _q_lists, q_recursion
+from descentpoly.stats import q_lists, q_recursion
 
 NAMED_TOPS = ["all", "{}", "mod:2:0", "mod:3:1", "mod:4:0,2"]
 
@@ -95,7 +95,7 @@ def test_every_q_list_is_a_palindrome_about_its_centre(n):
     with j + 1 not in tops."""
     for tops in _tops_sets():
         k = sum(j for j in range(n) if j + 1 not in tops)
-        for s, p in enumerate(_q_lists(n, tops)):
+        for s, p in enumerate(q_lists(n, tops)):
             centre2 = k + s * n
             assert p and p[-1] and len(p) <= centre2 + 1, (n, tops, s)
             padded = p + [0] * (centre2 + 1 - len(p))
